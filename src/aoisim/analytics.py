@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .policies import adaptive_beta
+from .policies import ConfigError, adaptive_beta
 from .search import bisect_sign_change, golden_section
 
 AOI_LOWER_BOUND = 0.5
@@ -24,7 +24,7 @@ def aoi_lower_bound() -> float:
 def threshold_average_aoi(tau0: float) -> float:
     """Long-term average age h(tau0) of the B=1 threshold policy."""
     if tau0 < 0:
-        raise ValueError("tau0 must be non-negative")
+        raise ConfigError("tau0 must be non-negative")
     e = math.exp(-tau0)
     return ((2.0 * tau0 + 2.0) * e + tau0 * tau0) / (2.0 * (e + tau0))
 
@@ -36,7 +36,7 @@ def inter_update_moments(tau0: float) -> tuple[float, float]:
     the consistency is enforced to 1e-12 relative in the tests.
     """
     if tau0 < 0:
-        raise ValueError("tau0 must be non-negative")
+        raise ConfigError("tau0 must be non-negative")
     e = math.exp(-tau0)
     mean = e + tau0
     second = (tau0 * tau0 + 2.0 * tau0 + 2.0) * e + tau0 * tau0 * (1.0 - e)
@@ -59,7 +59,7 @@ def optimal_threshold(tol: float = 1e-6) -> tuple[float, float]:
     property test, which certifies the bracketed search.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ConfigError("tol must be positive")
     coarse = golden_section(threshold_average_aoi, 0.0, 5.0,
                             tol=max(tol, 1e-3))
     lo, hi = coarse.bracket

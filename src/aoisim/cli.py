@@ -114,9 +114,11 @@ def _series_rows(result) -> list[list]:
 
 
 def _fig_checkpoints(horizon: float, n: int = 40) -> np.ndarray:
+    """Up to n rounded log-spaced checkpoints in (0, horizon], the last one
+    the horizon itself."""
     start = max(1.0, horizon / 100.0)
     ts = np.unique(np.rint(np.geomspace(start, horizon, n)))
-    return ts[ts > 0].astype(np.float64)
+    return np.append(ts[(ts > 0) & (ts < horizon)], horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,10 @@ def _fig_checkpoints(horizon: float, n: int = 40) -> np.ndarray:
 def _parse_battery(text: str) -> int | None:
     if text.lower() in ("inf", "infinite", "unbounded"):
         return None
-    cap = int(text)
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ConfigError(f"invalid battery capacity {text!r}") from None
     if cap < 1:
         raise ConfigError("battery capacity must be a positive integer or inf")
     return cap
@@ -208,7 +213,10 @@ def cmd_simulate(args) -> int:
 # analytic
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"invalid number list {text!r}") from None
 
 
 def cmd_analytic(args) -> int:
@@ -412,9 +420,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -191,6 +191,8 @@ def optimize_scalar(objective, bracket: tuple[float, float],
     lo, hi = bracket
     if not lo < hi:
         raise ConfigError("bracket must satisfy lo < hi")
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
     f_lo = objective(lo)
     f_hi = objective(hi)
     res = golden_section(objective, lo, hi, tol)

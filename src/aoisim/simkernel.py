@@ -1,9 +1,14 @@
 """Event-driven execution of one policy on one arrival sample path.
 
 One run walks a materialized arrival array in exact epoch arithmetic (no
-time discretization). The per-epoch loops are jitted with numba when it is
-available and run as plain Python otherwise; both paths execute the same
-statements, so results are bit-identical either way.
+time discretization). The best-effort uniform grid with an unbounded or a
+unit battery runs as a numpy kernel over fixed blocks of grid epochs; the
+battery level after the last epoch of a block is the only state carried
+into the next, so the result does not depend on the block size. Every
+other policy runs as a per-epoch loop, jitted with numba when it is
+available and plain Python otherwise; both execute the same statements.
+The numpy kernel computes the same float products and integer counts as
+the uniform loop, so results are bit-identical whichever code runs.
 
 Conventions baked in here:
 
@@ -21,6 +26,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +47,13 @@ from .policies import (
 
 MAX_HORIZON = 1.0e7  # keeps absolute epoch rounding below ~1e-8
 _MAX_GRID_EPOCHS = 1.0e8
+# Grid epochs per block of _uniform_grid. It bounds the kernel's transient
+# memory (about ten int64/float64 temporaries per epoch, some 320 kB per
+# block) whatever the horizon. In single benchmark runs of the optimizer
+# (T=2500, periods down to 0.1), 65536-epoch blocks left peak resident
+# memory 0.5 MB above 4096-epoch blocks, and 1024-epoch blocks saved no
+# memory but ran a quarter slower.
+_GRID_BLOCK = 4096
 
 try:
     from numba import njit as _njit
@@ -91,6 +104,56 @@ def _uniform_path(arrivals, horizon, cap, period):
         wasted += level - cap
         level = cap
     return epochs[:n_up], wasted, infeasible, level
+
+
+def _uniform_grid(arrivals, horizon, cap, period):
+    """Best-effort uniform grid for an unbounded (cap < 0) or unit (cap == 1)
+    battery, in numpy, block by block; same results as _uniform_path.
+
+    An epoch sees the arrivals strictly before it (left limit). With B=1
+    the battery is empty after every epoch, so an epoch is feasible iff its
+    window holds an arrival. With B=inf the level after epoch n obeys the
+    Lindley recursion L_n = max(L_{n-1} + A_n - 1, 0), solved in closed
+    form by L_n = W_n - min(0, min_{i<=n} W_i) for the walk
+    W_n = L_0 + sum_{i<=n} (A_i - 1); epoch n is feasible iff
+    L_{n-1} + A_n >= 1.
+    """
+    n_arr = arrivals.shape[0]
+    last = int(horizon / period)  # largest n with n * period <= horizon
+    while (last + 1) * period <= horizon:
+        last += 1
+    while last > 0 and last * period > horizon:
+        last -= 1
+    parts = []
+    level = 0
+    seen = 0
+    wasted = 0
+    infeasible = 0
+    for lo in range(1, last + 1, _GRID_BLOCK):
+        s = np.arange(lo, min(lo + _GRID_BLOCK, last + 1),
+                      dtype=np.float64) * period
+        idx = np.searchsorted(arrivals, s, side="left")
+        counts = np.diff(idx, prepend=seen)
+        if cap == 1:
+            feasible = counts >= 1
+            wasted += int(idx[-1] - seen) - int(np.count_nonzero(feasible))
+        else:
+            walk = level + np.cumsum(counts - 1)
+            after = walk - np.minimum(np.minimum.accumulate(walk), 0)
+            before = np.concatenate(([level], after[:-1])) + counts
+            feasible = before >= 1
+            level = int(after[-1])
+        seen = int(idx[-1])
+        epochs = s[feasible]
+        parts.append(epochs)
+        infeasible += len(s) - len(epochs)
+    # Arrivals between the last grid epoch and the horizon still land.
+    level += n_arr - seen
+    if cap >= 0 and level > cap:
+        wasted += level - cap
+        level = cap
+    epochs = np.concatenate(parts) if parts else np.empty(0, np.float64)
+    return epochs, wasted, infeasible, level
 
 
 @_jit
@@ -225,6 +288,8 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
     arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
     if isinstance(policy, BestEffortUniform):
         cap = -1 if capacity is None else capacity
+        if cap < 0 or cap == 1:
+            return _uniform_grid(arrivals, horizon, cap, policy.period)
         return _uniform_path(arrivals, horizon, cap, policy.period)
     if isinstance(policy, EnergyAwareAdaptive):
         beta = adaptive_beta(policy.k, capacity)
@@ -248,18 +313,31 @@ def _unit_gammas(arrivals: np.ndarray, epochs: np.ndarray) -> np.ndarray:
     return arrivals[idx] - prev
 
 
+class _UnitBatteryLog(UpdateLog):
+    """Unit-battery update log whose gammas are extracted from the arrival
+    path when first read: ensembles never read them, the update-log CLI
+    does."""
+
+    def __init__(self, epochs: np.ndarray, arrivals: np.ndarray):
+        self.epochs = epochs
+        self._arrivals = arrivals
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        return _unit_gammas(self._arrivals, self.epochs)
+
+
 def run_path(config: SimConfig) -> tuple[SimSummary, UpdateLog]:
     """Simulate one sample path up to the horizon."""
     config.validate()
     arrivals = sample_path(config.seed, config.horizon, config.rate)
     epochs, wasted, infeasible, level = simulate_path(
         arrivals, config.policy, config.capacity, config.horizon)
-    gammas = None
-    if config.capacity == 1 and len(epochs):
-        gammas = _unit_gammas(arrivals, epochs)
-    log = UpdateLog(epochs=epochs, gammas=gammas)
+    log = UpdateLog(epochs=epochs)
     log.validate()
     tally = accumulate_reward(log, config.horizon)
+    if config.capacity == 1 and len(epochs):
+        log = _UnitBatteryLog(epochs, arrivals)
     summary = SimSummary(
         time_avg_aoi=tally.time_average,
         reward=tally.reward,

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from aoisim import cli
 from aoisim.cli import main
 
 
@@ -54,6 +55,10 @@ def test_simulate_validation_failure_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0 < beta < 1" in err
     assert not (tmp_path / "x.csv").exists()
+    code = run_cli(["simulate", "--policy", "uniform", "--battery", "two",
+                    "--horizon", "100", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "invalid battery capacity" in capsys.readouterr().err
 
 
 def test_simulate_unit_policy_wrong_battery_exit_2(tmp_path, capsys):
@@ -144,6 +149,18 @@ def test_analytic_requires_exactly_one_mode(capsys):
 def test_analytic_invalid_value_exit_2(capsys):
     assert run_cli(["analytic", "--idle-pmf", "0"]) == 2
     assert run_cli(["analytic", "--gap-bound", "50", "10"]) == 2
+    assert run_cli(["analytic", "--h-at", "0.5,x"]) == 2
+    assert run_cli(["analytic", "--h-at", "-1"]) == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # Only configuration errors map to exit 2; a ValueError raised inside
+    # the program is a bug and must surface as one.
+    def broken(tol):
+        raise ValueError("internal failure")
+    monkeypatch.setattr(cli, "optimal_threshold", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run_cli(["analytic", "--optimal-threshold"])
 
 
 def test_optimize_tau0_analytic(capsys, tmp_path):
@@ -164,19 +181,31 @@ def test_optimize_bad_bracket_exit_2(capsys):
     code = run_cli(["optimize", "--target", "tau0-analytic",
                     "--bracket", "5", "0", "--tol", "1e-6"])
     assert code == 2
+    code = run_cli(["optimize", "--target", "tau0-analytic",
+                    "--bracket", "0", "5", "--tol", "0"])
+    assert code == 2
 
 
-def test_reproduce_figure2_writes_series_and_manifest(tmp_path):
+@pytest.mark.parametrize("horizon,mean_range", [
+    ("200", (0.4, 1.5)),
+    ("500.7", (0.4, 1.5)),  # rounded checkpoints must not pass the horizon
+    ("0.4", (0.19, 0.21)),  # no grid epoch before T: the mean age is T/2
+], ids=["200", "500.7", "0.4"])
+def test_reproduce_figure2_writes_series_and_manifest(tmp_path, horizon,
+                                                      mean_range):
     outdir = tmp_path / "fig2"
     code = run_cli(["reproduce", "--figure", "2", "--out", str(outdir),
-                    "--paths", "20", "--horizon", "200", "--seed", "5"])
+                    "--paths", "20", "--horizon", horizon, "--seed", "5"])
     assert code == 0
     single = (outdir / "fig2_single_path.csv").read_text()
     ensemble = (outdir / "fig2_ensemble.csv").read_text()
     assert single.splitlines()[0] == "t,mean_avg_aoi,stderr"
+    ts = [float(line.split(",")[0])
+          for line in ensemble.strip().splitlines()[1:]]
+    assert ts[0] > 0 and all(a < b for a, b in zip(ts, ts[1:]))
+    assert ts[-1] == float(horizon)
     last = ensemble.strip().splitlines()[-1].split(",")
-    assert float(last[0]) == 200.0
-    assert 0.4 < float(last[1]) < 1.5
+    assert mean_range[0] < float(last[1]) < mean_range[1]
     manifest = json.loads((outdir / "fig2_manifest.json").read_text())
     assert manifest["parameters"]["figure"] == 2
     assert set(manifest["outputs"]) == {"fig2_single_path.csv",

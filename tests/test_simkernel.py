@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from aoisim import (
     AdaptiveUnitBattery,
@@ -18,6 +19,7 @@ from aoisim import (
     sample_path,
     simulate_path,
 )
+from aoisim.simkernel import _GRID_BLOCK, _uniform_path
 from reference_sim import reference_run
 
 ALL_POLICIES = [
@@ -107,10 +109,17 @@ def test_run_path_deterministic():
     assert np.array_equal(log1.gammas, log2.gammas)
 
 
-@pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
+@pytest.mark.parametrize("policy,capacity,horizon", [
+    *(pytest.param(p, c, 300.0, id=f"policy{i}-{c}")
+      for i, (p, c) in enumerate(ALL_POLICIES)),
+    # 10 000 grid epochs: the numpy grid kernel runs over three blocks
+    pytest.param(BestEffortUniform(0.1), 1, 1000.0, id="grid-blocks-1"),
+    pytest.param(BestEffortUniform(0.1), None, 1000.0, id="grid-blocks-None"),
+    pytest.param(BestEffortUniform(1.0), None, 300.7, id="T300.7-None"),
+    pytest.param(BestEffortUniform(0.43), 1, 300.7, id="T300.7-1"),
+])
 @pytest.mark.parametrize("seed", [0, 7, 1234, 2**63 + 11])
-def test_kernel_matches_reference(policy, capacity, seed):
-    horizon = 300.0
+def test_kernel_matches_reference(policy, capacity, horizon, seed):
     ref = reference_run(seed, policy, capacity, horizon)
     summary, log = run_path(SimConfig(policy, capacity, horizon, seed))
     assert np.array_equal(log.epochs, ref.epochs)
@@ -118,6 +127,48 @@ def test_kernel_matches_reference(policy, capacity, seed):
     assert summary.infeasible_epochs == ref.infeasible
     assert summary.final_level == ref.final_level
     assert summary.arrivals_seen == ref.n_arrivals
+
+
+@st.composite
+def _grid_arrivals(draw):
+    """(period, horizon, arrivals) for the uniform grid: the grid may end on
+    a block edge or hold no epoch at all, the horizon may sit on, just
+    below or between grid epochs, and arrivals may be absent, tie exactly
+    with grid epochs n * period, or come in dense runs that fill an
+    unbounded battery."""
+    period = draw(st.sampled_from([0.1, 0.25, 0.43, 1.0, 3.0]))
+    n_last = draw(st.sampled_from([0, 1, _GRID_BLOCK - 1, _GRID_BLOCK,
+                                   _GRID_BLOCK + 1, 2 * _GRID_BLOCK])
+                  | st.integers(0, 300))
+    horizon = draw(st.sampled_from([
+        n_last * period,
+        float(np.nextafter(n_last * period, 0.0)),
+        (n_last + 0.5) * period]))
+    if horizon <= 0:
+        horizon = 0.5 * period  # a period longer than the horizon
+    ties = draw(st.lists(st.integers(1, n_last + 1), max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) / period
+    inside = rng.uniform(0.0, horizon, rng.poisson(rate * horizon))
+    arrivals = np.sort(np.concatenate([np.array(ties) * period, inside]))
+    return period, horizon, arrivals[arrivals <= horizon]
+
+
+@pytest.mark.parametrize("capacity", [None, 1])
+@given(case=_grid_arrivals())
+# T / period misjudges the last grid epoch both ways: 11 * 0.43 / 0.43
+# rounds below 11, and T just under 9 * 0.43 gives T / 0.43 = 9.0.
+@example(case=(0.43, 11 * 0.43, np.array([0.43, 4.0, 4.73])))
+@example(case=(0.43, float(np.nextafter(9 * 0.43, 0.0)), np.array([3.0])))
+def test_uniform_grid_kernel_matches_loop(capacity, case):
+    period, horizon, arrivals = case
+    epochs, wasted, infeasible, level = simulate_path(
+        arrivals, BestEffortUniform(period), capacity, horizon)
+    loop = _uniform_path(arrivals, horizon,
+                         -1 if capacity is None else capacity, period)
+    assert np.array_equal(epochs, loop[0])
+    assert (wasted, infeasible, level) == loop[1:]
+    assert len(arrivals) == level + len(epochs) + wasted
 
 
 @pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
