@@ -21,10 +21,16 @@ def aoi_lower_bound() -> float:
     return AOI_LOWER_BOUND
 
 
+def _check_tau0(tau0: float) -> None:
+    # Written so that NaN fails too: it would come out as a bare NaN,
+    # which strict JSON cannot carry.
+    if not 0.0 <= tau0 < math.inf:
+        raise ConfigError("tau0 must be finite and non-negative")
+
+
 def threshold_average_aoi(tau0: float) -> float:
     """Long-term average age h(tau0) of the B=1 threshold policy."""
-    if tau0 < 0:
-        raise ConfigError("tau0 must be non-negative")
+    _check_tau0(tau0)
     e = math.exp(-tau0)
     return ((2.0 * tau0 + 2.0) * e + tau0 * tau0) / (2.0 * (e + tau0))
 
@@ -35,8 +41,7 @@ def inter_update_moments(tau0: float) -> tuple[float, float]:
     The ratio second/(2*mean) reproduces threshold_average_aoi exactly;
     the consistency is enforced to 1e-12 relative in the tests.
     """
-    if tau0 < 0:
-        raise ConfigError("tau0 must be non-negative")
+    _check_tau0(tau0)
     e = math.exp(-tau0)
     mean = e + tau0
     second = (tau0 * tau0 + 2.0 * tau0 + 2.0) * e + tau0 * tau0 * (1.0 - e)
@@ -58,7 +63,7 @@ def optimal_threshold(tol: float = 1e-6) -> tuple[float, float]:
     ``tol``. Unimodality of h on [0, 5] is checked separately by a grid
     property test, which certifies the bracketed search.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigError("tol must be positive")
     coarse = golden_section(threshold_average_aoi, 0.0, 5.0,
                             tol=max(tol, 1e-3))

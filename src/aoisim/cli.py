@@ -50,7 +50,7 @@ from .runner import (
     unit_beta_objective,
     unit_uniform_period_objective,
 )
-from .simkernel import SimConfig, run_path
+from .simkernel import MAX_HORIZON, SimConfig, run_path
 
 DEFAULT_SEED = 1
 
@@ -256,9 +256,13 @@ def _write_series(path: str, result) -> None:
                                   _series_rows(result)))
 
 
-def _reproduce_fig2(args, outdir: str) -> list[str]:
-    horizon = args.horizon or 500.0
-    paths = args.paths or 1000
+# Preset horizon and path count of each figure, for flags left out.
+_PRESETS = {2: (500.0, 1000), 3: (1.0e5, 1000), 4: (1.0e5, 1),
+            5: (1.0e5, 1000)}
+
+
+def _reproduce_fig2(args, outdir: str, horizon: float,
+                    paths: int) -> list[str]:
     checkpoints = _fig_checkpoints(horizon)
     config = SimConfig(policy=BestEffortUniform(period=1.0), capacity=None,
                        horizon=horizon, seed=args.seed)
@@ -271,9 +275,8 @@ def _reproduce_fig2(args, outdir: str) -> list[str]:
     return files
 
 
-def _reproduce_fig3(args, outdir: str) -> list[str]:
-    horizon = args.horizon or 1.0e5
-    paths = args.paths or 1000
+def _reproduce_fig3(args, outdir: str, horizon: float,
+                    paths: int) -> list[str]:
     cells = sweep_battery([1.0, 2.0], [30, 60, 100, 200],
                           horizon=horizon, n_paths=paths, base_seed=args.seed)
     rows = [[c.k, c.cap, c.beta, c.mean_gap, c.stderr, c.gap_bound]
@@ -284,32 +287,36 @@ def _reproduce_fig3(args, outdir: str) -> list[str]:
     return [path]
 
 
-def _reproduce_compare(args, outdir: str, n_paths: int,
-                       prefix: str) -> list[str]:
-    horizon = args.horizon or 1.0e5
+def _reproduce_compare(args, outdir: str, horizon: float,
+                       paths: int) -> list[str]:
     checkpoints = _fig_checkpoints(horizon)
-    results = compare_unit_battery(horizon=horizon, n_paths=n_paths,
+    results = compare_unit_battery(horizon=horizon, n_paths=paths,
                                    base_seed=args.seed,
                                    checkpoints=checkpoints)
     files = []
     for name, result in results.items():
-        path = os.path.join(outdir, f"{prefix}_{name}.csv")
+        path = os.path.join(outdir, f"fig{args.figure}_{name}.csv")
         _write_series(path, result)
         files.append(path)
     return files
 
 
 def cmd_reproduce(args) -> int:
+    # Only a flag left out takes the preset: an explicit 0 is an error.
+    preset_horizon, preset_paths = _PRESETS[args.figure]
+    horizon = preset_horizon if args.horizon is None else args.horizon
+    paths = preset_paths if args.paths is None else args.paths
+    # Checked before the checkpoints are spaced out over (0, horizon].
+    if not 0.0 < horizon <= MAX_HORIZON:
+        raise ConfigError(f"horizon must lie in (0, {MAX_HORIZON:g}]")
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     if args.figure == 2:
-        files = _reproduce_fig2(args, outdir)
+        files = _reproduce_fig2(args, outdir, horizon, paths)
     elif args.figure == 3:
-        files = _reproduce_fig3(args, outdir)
-    elif args.figure == 4:
-        files = _reproduce_compare(args, outdir, args.paths or 1, "fig4")
+        files = _reproduce_fig3(args, outdir, horizon, paths)
     else:
-        files = _reproduce_compare(args, outdir, args.paths or 1000, "fig5")
+        files = _reproduce_compare(args, outdir, horizon, paths)
     manifest_path = os.path.join(outdir, f"fig{args.figure}_manifest.json")
     _atomic_write(manifest_path,
                   _json_text(_manifest("reproduce", args, files)))

@@ -137,7 +137,7 @@ def validate_policy(policy: Policy, capacity: int | None) -> None:
                 f"{type(policy).__name__} requires battery capacity 1, "
                 f"got {'unbounded' if capacity is None else capacity}")
     if isinstance(policy, BestEffortUniform):
-        if policy.period <= 0:
+        if not policy.period > 0:  # NaN fails too
             raise ConfigError("period must be positive")
     elif isinstance(policy, EnergyAwareAdaptive):
         if capacity is None or capacity < 2:
@@ -145,7 +145,7 @@ def validate_policy(policy: Policy, capacity: int | None) -> None:
                 "EnergyAwareAdaptive requires a finite battery capacity >= 2")
         adaptive_beta(policy.k, capacity)  # raises when beta leaves (0, 1)
     elif isinstance(policy, ThresholdUnitBattery):
-        if policy.tau0 < 0:
+        if not policy.tau0 >= 0:  # NaN fails too
             raise ConfigError("tau0 must be non-negative")
     elif isinstance(policy, AdaptiveUnitBattery):
         if not -1.0 < policy.beta < 1.0:

@@ -87,7 +87,7 @@ def run_ensemble(config: SimConfig, n_paths: int, checkpoints=(),
         raise ConfigError("n_paths must be >= 1")
     config.validate()
     ts = np.asarray(checkpoints, dtype=np.float64)
-    if len(ts) and (ts.min() <= 0 or ts.max() > config.horizon):
+    if not np.all((ts > 0) & (ts <= config.horizon)):  # NaN fails too
         raise ConfigError("checkpoints must lie in (0, horizon]")
     if collect_idle_runs and not isinstance(config.policy, BestEffortUniform):
         raise ConfigError("idle-run collection applies to the uniform policy")

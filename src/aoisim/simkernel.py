@@ -7,8 +7,13 @@ battery level after the last epoch of a block is the only state carried
 into the next, so the result does not depend on the block size. Every
 other policy runs as a per-epoch loop, jitted with numba when it is
 available and plain Python otherwise; both execute the same statements.
-The numpy kernel computes the same float products and integer counts as
-the uniform loop, so results are bit-identical whichever code runs.
+Without numba the loops read the arrivals and write the epochs through
+memoryviews of the same float64 arrays (``_view``), which hand out and
+take Python floats instead of boxing a numpy scalar per access; with
+numba ``_view`` is a jitted identity. Either way the loops return
+ndarray slices. The numpy kernel computes the same float products and
+integer counts as the uniform loop, so results are bit-identical
+whichever code runs.
 
 Conventions baked in here:
 
@@ -61,10 +66,20 @@ try:
     def _jit(func):
         return _njit(cache=True)(func)
 
+    @_jit
+    def _view(array):
+        """Identity: jitted loops index the float64 array itself."""
+        return array
+
 except ImportError:  # pragma: no cover - numba is a declared dependency
 
     def _jit(func):
         return func
+
+    # Plain-Python loops index a memoryview of the float64 array instead:
+    # reads give Python floats and writes take them, with no numpy scalar
+    # boxed or unboxed per epoch, and nothing is copied.
+    _view = memoryview
 
 
 @_jit
@@ -73,6 +88,8 @@ def _uniform_path(arrivals, horizon, cap, period):
     n_arr = arrivals.shape[0]
     grid = int(horizon / period) + 2
     epochs = np.empty(min(grid, n_arr + 1), np.float64)
+    arr = _view(arrivals)
+    out = _view(epochs)
     level = 0
     idx = 0
     n_up = 0
@@ -83,7 +100,7 @@ def _uniform_path(arrivals, horizon, cap, period):
         s = n * period
         if s > horizon:
             break
-        while idx < n_arr and arrivals[idx] < s:
+        while idx < n_arr and arr[idx] < s:
             level += 1
             idx += 1
         if cap >= 0 and level > cap:
@@ -91,7 +108,7 @@ def _uniform_path(arrivals, horizon, cap, period):
             level = cap
         if level >= 1:
             level -= 1
-            epochs[n_up] = s
+            out[n_up] = s
             n_up += 1
         else:
             infeasible += 1
@@ -167,6 +184,8 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
     d_min = min(d_low, min(d_mid, d_high))
     grid = int(horizon / d_min) + 4
     epochs = np.empty(min(grid, n_arr + 1), np.float64)
+    arr = _view(arrivals)
+    out = _view(epochs)
     level = 0
     level_before = 1  # battery right before the time-0 update
     idx = 0
@@ -184,7 +203,7 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
             s = s + d_high
         if s > horizon:
             break
-        while idx < n_arr and arrivals[idx] < s:
+        while idx < n_arr and arr[idx] < s:
             level += 1
             idx += 1
         if level > cap:
@@ -193,7 +212,7 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
         level_before = level
         if level >= 1:
             level -= 1
-            epochs[n_up] = s
+            out[n_up] = s
             n_up += 1
         else:
             infeasible += 1
@@ -212,21 +231,23 @@ def _unit_renewal_path(arrivals, horizon, tau0):
     the previous update; later arrivals before the update are wasted."""
     n_arr = arrivals.shape[0]
     epochs = np.empty(n_arr + 1, np.float64)
+    arr = _view(arrivals)
+    out = _view(epochs)
     idx = 0
     n_up = 0
     wasted = 0
     s = 0.0
     while idx < n_arr:
-        gamma = arrivals[idx] - s
+        gamma = arr[idx] - s
         x = gamma if gamma > tau0 else tau0
         s_next = s + x
         if s_next > horizon:
             break
         idx += 1  # the triggering arrival is consumed by this update
-        while idx < n_arr and arrivals[idx] <= s_next:
+        while idx < n_arr and arr[idx] <= s_next:
             wasted += 1
             idx += 1
-        epochs[n_up] = s_next
+        out[n_up] = s_next
         n_up += 1
         s = s_next
     # Tail: the first leftover arrival fills the slot, the rest overflow.
@@ -256,7 +277,7 @@ class SimConfig:
         if not 0.0 < self.horizon <= MAX_HORIZON:
             raise ConfigError(
                 f"horizon must lie in (0, {MAX_HORIZON:g}]")
-        if self.rate <= 0:
+        if not self.rate > 0:  # NaN fails too
             raise ConfigError("rate must be positive")
         if isinstance(self.policy, BestEffortUniform):
             if self.horizon / self.policy.period > _MAX_GRID_EPOCHS:
@@ -277,6 +298,13 @@ class SimSummary:
     arrivals_seen: int
 
 
+def _adaptive_delays(beta: float) -> tuple[float, float, float]:
+    """Delays (1/(1-beta), 1, 1/(1+beta)) for levels below, at and above
+    half the battery."""
+    beta = float(beta)
+    return 1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta)
+
+
 def simulate_path(arrivals: np.ndarray, policy: Policy,
                   capacity: int | None, horizon: float):
     """Run one policy over a materialized arrival array.
@@ -286,21 +314,23 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
     """
     validate_policy(policy, capacity)
     arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+    # Python scalars keep numpy scalar arithmetic out of the plain-Python
+    # loops; float() of a numpy float64 is exact, so results do not change.
+    horizon = float(horizon)
+    cap = -1 if capacity is None else int(capacity)
     if isinstance(policy, BestEffortUniform):
-        cap = -1 if capacity is None else capacity
+        period = float(policy.period)
         if cap < 0 or cap == 1:
-            return _uniform_grid(arrivals, horizon, cap, policy.period)
-        return _uniform_path(arrivals, horizon, cap, policy.period)
+            return _uniform_grid(arrivals, horizon, cap, period)
+        return _uniform_path(arrivals, horizon, cap, period)
     if isinstance(policy, EnergyAwareAdaptive):
-        beta = adaptive_beta(policy.k, capacity)
-        return _adaptive_path(arrivals, horizon, capacity,
-                              1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta))
+        return _adaptive_path(arrivals, horizon, cap,
+                              *_adaptive_delays(adaptive_beta(policy.k, cap)))
     if isinstance(policy, AdaptiveUnitBattery):
-        beta = policy.beta
         return _adaptive_path(arrivals, horizon, 1,
-                              1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta))
+                              *_adaptive_delays(policy.beta))
     if isinstance(policy, ThresholdUnitBattery):
-        return _unit_renewal_path(arrivals, horizon, policy.tau0)
+        return _unit_renewal_path(arrivals, horizon, float(policy.tau0))
     if isinstance(policy, GreedyUnitBattery):
         return _unit_renewal_path(arrivals, horizon, 0.0)
     raise ConfigError(f"unknown policy variant {type(policy).__name__}")

@@ -102,8 +102,27 @@ def _run_unit_renewal(feed, battery, tau0, horizon):
     return epochs
 
 
+class _ArrayStream:
+    """The instants of a sorted arrival array, then no arrival ever."""
+
+    def __init__(self, arrivals):
+        self._instants = iter(np.asarray(arrivals, dtype=np.float64).tolist())
+
+    def next_arrival(self):
+        return next(self._instants, float("inf"))
+
+
 def reference_run(seed, policy, capacity, horizon, rate=1.0) -> ReferenceResult:
-    stream = ArrivalStream(seed, rate)
+    return _reference(ArrivalStream(seed, rate), policy, capacity, horizon)
+
+
+def reference_on_arrivals(arrivals, policy, capacity,
+                          horizon) -> ReferenceResult:
+    """Reference run over a given sorted arrival array in (0, horizon]."""
+    return _reference(_ArrayStream(arrivals), policy, capacity, horizon)
+
+
+def _reference(stream, policy, capacity, horizon) -> ReferenceResult:
     feed = _Lookahead(stream, horizon)
     battery = BatteryState(level=0, capacity=capacity)
 

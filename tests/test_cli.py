@@ -153,6 +153,35 @@ def test_analytic_invalid_value_exit_2(capsys):
     assert run_cli(["analytic", "--h-at", "-1"]) == 2
 
 
+@pytest.mark.parametrize("mode", [["--h-at", "nan"], ["--h-at", "0.5,inf"],
+                                  ["--moments", "nan"],
+                                  ["--optimal-threshold", "--tol", "nan"]])
+def test_analytic_non_finite_input_exit_2(capsys, mode):
+    # NaN would otherwise be printed as a bare NaN, which is not JSON.
+    assert run_cli(["analytic", *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--policy", "uniform", "--battery", "1", "--checkpoints", "nan", "5"],
+     "checkpoints must lie in (0, horizon]"),
+    (["--policy", "uniform", "--battery", "3", "--period", "nan"],
+     "period must be positive"),
+    (["--policy", "threshold", "--battery", "1", "--tau0", "nan"],
+     "tau0 must be non-negative"),
+    (["--policy", "greedy", "--battery", "1", "--rate", "nan"],
+     "rate must be positive"),
+], ids=["checkpoint", "period", "tau0", "rate"])
+def test_simulate_nan_input_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    code = run_cli(["simulate", *flags, "--horizon", "10", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     # Only configuration errors map to exit 2; a ValueError raised inside
     # the program is a bug and must surface as one.
@@ -231,6 +260,27 @@ def test_reproduce_figure5_three_policies(tmp_path):
     assert code == 0
     for name in ("uniform", "adaptive", "threshold"):
         assert (outdir / f"fig5_{name}.csv").exists()
+
+
+@pytest.mark.parametrize("figure", ["2", "3", "5"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--paths", "0", "n_paths must be >= 1"),
+    ("--paths", "-3", "n_paths must be >= 1"),
+    ("--horizon", "0", "horizon must lie in (0, 1e+07]"),
+    ("--horizon", "-5", "horizon must lie in (0, 1e+07]"),
+])
+def test_reproduce_explicit_non_positive_exit_2(tmp_path, capsys, figure,
+                                                flag, value, message):
+    # An explicit 0 is an error, not a request for the preset default.
+    others = {"--paths": "2", "--horizon": "50"}
+    others[flag] = value
+    code = run_cli(["reproduce", "--figure", figure,
+                    "--out", str(tmp_path / "out"),
+                    "--paths", others["--paths"],
+                    "--horizon", others["--horizon"]])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"fig{figure}_manifest.json").exists()
 
 
 def test_reproduce_rerun_is_byte_identical(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,14 +15,21 @@ from aoisim import (
     ThresholdUnitBattery,
     UpdateLog,
     accumulate_reward,
+    adaptive_beta,
     aoi_gap,
     integrate_trace,
     run_path,
     sample_path,
     simulate_path,
 )
-from aoisim.simkernel import _GRID_BLOCK, _uniform_path
-from reference_sim import reference_run
+from aoisim.simkernel import (
+    _GRID_BLOCK,
+    _adaptive_delays,
+    _adaptive_path,
+    _uniform_path,
+    _unit_renewal_path,
+)
+from reference_sim import reference_on_arrivals, reference_run
 
 ALL_POLICIES = [
     (BestEffortUniform(1.0), None),
@@ -169,6 +178,83 @@ def test_uniform_grid_kernel_matches_loop(capacity, case):
     assert np.array_equal(epochs, loop[0])
     assert (wasted, infeasible, level) == loop[1:]
     assert len(arrivals) == level + len(epochs) + wasted
+
+
+@st.composite
+def _loop_arrivals(draw):
+    """(horizon, arrivals) for the per-epoch loops: arrivals in (0, T], none
+    at all, sparse or dense, with quarter-unit instants mixed in so that
+    renewals with a dyadic tau0 or unit delays often meet an arrival
+    exactly at an epoch s + x."""
+    horizon = draw(st.sampled_from([3.0, 40.0, 300.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    inside = rng.uniform(0.0, horizon, rng.poisson(rate * horizon))
+    quarters = 0.25 * rng.integers(1, 4 * int(horizon) + 1,
+                                   rng.poisson(rate * horizon / 2))
+    arrivals = np.unique(np.concatenate([inside, quarters]))
+    return horizon, arrivals[arrivals > 0.0]
+
+
+@pytest.mark.parametrize("policy,capacity", [
+    (AdaptiveUnitBattery(-0.5), 1),
+    (AdaptiveUnitBattery(0.0), 1),
+    (AdaptiveUnitBattery(0.3), 1),
+    (EnergyAwareAdaptive(1.0), 3),
+    (EnergyAwareAdaptive(1.0), 5),
+    (EnergyAwareAdaptive(1.0), 2),
+    (EnergyAwareAdaptive(2.0), 4),
+], ids=["b1-beta-0.5", "b1-beta0", "b1-beta0.3", "B3", "B5", "B2", "B4"])
+@given(case=_loop_arrivals())
+@example(case=(40.0, np.empty(0)))
+def test_adaptive_loop_matches_reference(policy, capacity, case):
+    horizon, arrivals = case
+    beta = (policy.beta if capacity == 1
+            else adaptive_beta(policy.k, capacity))
+    epochs, wasted, infeasible, level = _adaptive_path(
+        arrivals, horizon, capacity, *_adaptive_delays(beta))
+    ref = reference_on_arrivals(arrivals, policy, capacity, horizon)
+    assert np.array_equal(epochs, ref.epochs)
+    assert (wasted, infeasible, level) == (ref.wasted, ref.infeasible,
+                                           ref.final_level)
+
+
+@pytest.mark.parametrize("tau0", [0.0, 0.5, 0.901, 1.0, 2.5])
+@given(case=_loop_arrivals())
+@example(case=(40.0, np.empty(0)))
+# The first renewal fires at tau0 = 1.0 and meets the arrival there; the
+# next trigger, 1.25, fires at 2.25 and meets another.
+@example(case=(3.0, np.array([0.25, 1.0, 1.25, 2.25, 2.5])))
+def test_unit_renewal_loop_matches_reference(tau0, case):
+    horizon, arrivals = case
+    epochs, wasted, infeasible, level = _unit_renewal_path(
+        arrivals, horizon, tau0)
+    ref = reference_on_arrivals(arrivals, ThresholdUnitBattery(tau0), 1,
+                                horizon)
+    assert np.array_equal(epochs, ref.epochs)
+    assert (wasted, infeasible, level) == (ref.wasted, ref.infeasible,
+                                           ref.final_level)
+
+
+@pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
+def test_numpy_scalar_parameters_give_same_array(policy, capacity):
+    # The plain-Python loops write through a memoryview; what leaves the
+    # kernel is still the array behind it. numpy scalar parameters are
+    # coerced to Python ones without changing the result.
+    as_numpy = type(policy)(**{
+        f.name: np.float64(getattr(policy, f.name))
+        for f in dataclasses.fields(policy)})
+    arrivals = sample_path(11, 300.0)
+    plain = simulate_path(arrivals, policy, capacity, 300.0)
+    numpy = simulate_path(arrivals, as_numpy,
+                          None if capacity is None else np.int64(capacity),
+                          np.float64(300.0))
+    for epochs in (plain[0], numpy[0]):
+        assert type(epochs) is np.ndarray
+        assert epochs.dtype == np.float64
+        assert epochs.flags.c_contiguous
+    assert np.array_equal(numpy[0], plain[0])
+    assert numpy[1:] == plain[1:]
 
 
 @pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
