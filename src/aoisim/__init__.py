@@ -5,31 +5,22 @@ __version__ = "0.1.0"
 
 from .analytics import (
     AOI_LOWER_BOUND,
-    AnalyticReport,
     adaptive_gap_bound,
-    analytic_report,
-    aoi_lower_bound,
     idle_interval_pmf,
     inter_update_moments,
     optimal_threshold,
     threshold_average_aoi,
 )
-from .aoi_metrics import AoiTally, UpdateLog, accumulate_reward, age_at, integrate_trace
-from .arrivals import ArrivalStream, derive_seed, sample_path
-from .battery import BatteryState
+from .aoi_metrics import AoiTally, UpdateLog, accumulate_reward
+from .arrivals import derive_seed, sample_path
 from .policies import (
     AdaptiveUnitBattery,
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    GreedyUnitBattery,
     Policy,
     ThresholdUnitBattery,
     adaptive_beta,
-    adaptive_next_epoch,
-    adaptive_unit_next_epoch,
-    threshold_delay,
-    uniform_schedule,
 )
 from .runner import (
     EnsembleResult,
@@ -40,20 +31,16 @@ from .runner import (
     sweep_battery,
     uniform_idle_runs,
 )
-from .simkernel import SimConfig, SimSummary, aoi_gap, run_path, simulate_path
+from .simkernel import SimConfig, SimSummary, run_path, simulate_path
 
 __all__ = [
     "AOI_LOWER_BOUND",
-    "AnalyticReport",
     "AoiTally",
-    "ArrivalStream",
     "AdaptiveUnitBattery",
-    "BatteryState",
     "BestEffortUniform",
     "ConfigError",
     "EnergyAwareAdaptive",
     "EnsembleResult",
-    "GreedyUnitBattery",
     "Policy",
     "ScalarOptimum",
     "SimConfig",
@@ -63,16 +50,9 @@ __all__ = [
     "accumulate_reward",
     "adaptive_beta",
     "adaptive_gap_bound",
-    "adaptive_next_epoch",
-    "adaptive_unit_next_epoch",
-    "age_at",
-    "analytic_report",
-    "aoi_gap",
-    "aoi_lower_bound",
     "compare_unit_battery",
     "derive_seed",
     "idle_interval_pmf",
-    "integrate_trace",
     "inter_update_moments",
     "optimal_threshold",
     "optimize_scalar",
@@ -82,7 +62,5 @@ __all__ = [
     "simulate_path",
     "sweep_battery",
     "threshold_average_aoi",
-    "threshold_delay",
     "uniform_idle_runs",
-    "uniform_schedule",
 ]

@@ -8,17 +8,12 @@ Everything here is normalized to unit arrival rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .policies import ConfigError, adaptive_beta
 from .search import bisect_sign_change, golden_section
 
+# Universal lower bound on the long-term average age at unit rate.
 AOI_LOWER_BOUND = 0.5
-
-
-def aoi_lower_bound() -> float:
-    """Universal lower bound on the long-term average age at unit rate."""
-    return AOI_LOWER_BOUND
 
 
 def _check_tau0(tau0: float) -> None:
@@ -96,23 +91,3 @@ def adaptive_gap_bound(k: float, cap: int) -> float:
     return (2.0 ** (k + 1) * k * logb * logb / float(cap) ** (k + 1)
             + (logb / cap) ** 2)
 
-
-@dataclass
-class AnalyticReport:
-    """Bundle of closed-form values for a requested set of thresholds."""
-
-    lower_bound: float
-    tau_star: float
-    aoi_at_tau_star: float
-    evaluations: list[tuple[float, float]] = field(default_factory=list)
-
-
-def analytic_report(tau_values=(), tol: float = 1e-6) -> AnalyticReport:
-    tau_star, h_star = optimal_threshold(tol)
-    return AnalyticReport(
-        lower_bound=aoi_lower_bound(),
-        tau_star=tau_star,
-        aoi_at_tau_star=h_star,
-        evaluations=[(float(t), threshold_average_aoi(float(t)))
-                     for t in tau_values],
-    )

@@ -1,14 +1,13 @@
 """Age-of-information accounting over one sample path.
 
-The closed-form reward (half-sum of squared inter-update delays plus the
-squared tail) is paired with an independent trace-integration oracle that
-walks the piecewise-linear age curve segment by segment. The two must agree
-to 1e-9 relative on every log; the test suite enforces this.
+The reward R(T) is computed in closed form: half the sum of squared
+inter-update delays plus the squared tail after the last update. The test
+suite checks it to 1e-9 relative against an independent oracle that
+integrates the piecewise-linear age curve segment by segment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +17,10 @@ import numpy as np
 class UpdateLog:
     """Ordered actual update epochs S_1 < S_2 < ... of one sample path.
 
-    The time-0 update is implicit (S_0 = 0) and never stored. ``gammas``
-    holds, for unit-battery runs, the delay from each S_{n-1} to the first
-    energy arrival strictly after it.
+    The time-0 update is implicit (S_0 = 0) and never stored.
     """
 
     epochs: np.ndarray = field(default_factory=lambda: np.empty(0))
-    gammas: np.ndarray | None = None
 
     @classmethod
     def from_delays(cls, delays) -> "UpdateLog":
@@ -44,8 +40,6 @@ class UpdateLog:
         d = self.delays
         if len(d) and d.min() <= 0:
             raise ValueError("update epochs must be strictly increasing from 0")
-        if self.gammas is not None and len(self.gammas) != self.n:
-            raise ValueError("gammas length must match epochs length")
 
 
 @dataclass
@@ -75,47 +69,3 @@ def accumulate_reward(log: UpdateLog, horizon: float) -> AoiTally:
     reward = 0.5 * (float(np.sum(delays * delays)) + (horizon - last) ** 2)
     return AoiTally(reward=reward, horizon=horizon, updates=len(epochs))
 
-
-def age_at(log: UpdateLog, t: float) -> float:
-    """Instantaneous age at time t: t minus the largest epoch <= t (or 0)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    idx = int(np.searchsorted(log.epochs, t, side="right"))
-    base = log.epochs[idx - 1] if idx > 0 else 0.0
-    return t - base
-
-
-def integrate_trace(log: UpdateLog, horizon: float, step: float = 1.0) -> float:
-    """Trace-integration oracle for the reward: integrate age_at over [0, T].
-
-    The age curve is piecewise linear between consecutive epochs, so each
-    segment is integrated analytically as a sum of trapezoids subdivided no
-    coarser than ``step``; subdivision does not change the value, only the
-    granularity of the walk. Pieces are summed exactly with math.fsum.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    inside = log.epochs[log.epochs <= horizon]
-    bounds = np.concatenate(([0.0], inside, [horizon]))
-    widths = np.diff(bounds)
-    keep = widths > 0
-    starts, widths = bounds[:-1][keep], widths[keep]
-    if len(widths) == 0:
-        return 0.0
-    # Age at each segment start (0 at an update epoch, t at t before S_1).
-    if len(log.epochs):
-        idx = np.searchsorted(log.epochs, starts, side="right")
-        bases = np.where(idx > 0, log.epochs[np.maximum(idx - 1, 0)], 0.0)
-    else:
-        bases = np.zeros(len(starts))
-    start_age = starts - bases
-    pieces = np.maximum(1, np.ceil(widths / step)).astype(np.int64)
-    pw = widths / pieces
-    seg = np.repeat(np.arange(len(widths)), pieces)
-    offsets = np.concatenate(([0], np.cumsum(pieces)))
-    j = np.arange(offsets[-1]) - offsets[seg]
-    # Trapezoid over piece j of a segment with linear age start_age + x.
-    areas = (2.0 * start_age[seg] + (2 * j + 1) * pw[seg]) * pw[seg] * 0.5
-    return math.fsum(areas)

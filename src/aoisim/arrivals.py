@@ -1,10 +1,11 @@
-"""Seeded Poisson energy-arrival streams in continuous time.
+"""Seeded Poisson energy-arrival paths in continuous time.
 
 Arrival instants are generated by inverse-CDF exponential sampling,
 ``increment = -log(1 - U) / rate``, with uniforms drawn from a Philox
-counter-based generator. The pair (seed, rate) pins the entire arrival
-sequence bit-for-bit, independent of how the stream is consumed
-(one arrival at a time, window counts, or whole-path materialization).
+counter-based generator and summed left to right. The pair (seed, rate)
+pins the entire arrival sequence bit-for-bit: the uniforms are drawn in
+blocks, but the running sum carries from one block to the next, so the
+instants are those of one uniform and one addition per arrival.
 
 Ensembles derive one independent stream per sample path via
 
@@ -13,118 +14,39 @@ Ensembles derive one independent stream per sample path via
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
-
-# Uniform draws are taken from the generator in blocks; block boundaries do
-# not affect the emitted sequence (verified in tests against scalar draws).
-_BLOCK = 8192
+_MASK = (1 << 64) - 1
+_MAX_BLOCK = 1 << 20  # uniforms drawn at once
 
 
 def derive_seed(base_seed: int, path_index: int) -> int:
     """Per-path seed for path ``path_index`` of an ensemble keyed by ``base_seed``."""
     if path_index < 0:
         raise ValueError("path_index must be non-negative")
-    mask = (1 << 64) - 1
-    return (base_seed & mask) ^ ((path_index * SEED_STRIDE) & mask)
-
-
-def exp_increment(u: float, rate: float) -> float:
-    """Inverse-CDF exponential increment -ln(1-u)/rate for a uniform u in [0, 1)."""
-    return -np.log1p(-u) / rate
-
-
-class ArrivalStream:
-    """Single-consumer stream of strictly increasing Poisson arrival instants.
-
-    The stream is conceptually infinite. Internally it materializes arrivals
-    in blocks; ``cursor`` reports the last *emitted* arrival instant.
-    """
-
-    def __init__(self, seed: int, rate: float = 1.0):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.seed = int(seed) & ((1 << 64) - 1)
-        self.rate = float(rate)
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
-        self._gen_cursor = 0.0  # last generated instant (buffer tail)
-        self._buf = np.empty(0)
-        self._pos = 0
-        self._last_emitted = 0.0
-
-    @property
-    def cursor(self) -> float:
-        """Time of the last emitted arrival (0.0 before any emission)."""
-        return self._last_emitted
-
-    def _refill(self, n: int = _BLOCK) -> None:
-        u = self._gen.random(n)
-        inc = -np.log1p(-u) / self.rate
-        # Accumulate left-to-right starting from the previous tail so the
-        # instants are identical to repeated scalar draws.
-        inst = np.cumsum(np.concatenate(([self._gen_cursor], inc)))[1:]
-        self._gen_cursor = inst[-1]
-        if self._pos >= len(self._buf):
-            self._buf = inst
-        else:
-            self._buf = np.concatenate((self._buf[self._pos:], inst))
-        self._pos = 0
-
-    def next_arrival(self) -> float:
-        """Emit the next arrival instant (cursor advances past it)."""
-        if self._pos >= len(self._buf):
-            self._refill()
-        t = float(self._buf[self._pos])
-        self._pos += 1
-        self._last_emitted = t
-        return t
-
-    def count_in(self, t_start: float, t_end: float) -> int:
-        """Number of arrivals in the half-open window (t_start, t_end].
-
-        Consumes the stream up to ``t_end``: arrivals at or before ``t_end``
-        are emitted (and counted when inside the window); the first arrival
-        beyond ``t_end`` stays pending for later consumption.
-        """
-        if t_start > t_end:
-            raise ValueError("reversed interval: t_start > t_end")
-        count = 0
-        while True:
-            if self._pos >= len(self._buf):
-                self._refill()
-            chunk = self._buf[self._pos:]
-            stop = int(np.searchsorted(chunk, t_end, side="right"))
-            if stop > 0:
-                first = int(np.searchsorted(chunk[:stop], t_start, side="right"))
-                count += stop - first
-                self._pos += stop
-                self._last_emitted = float(self._buf[self._pos - 1])
-            if stop < len(chunk):
-                return count
-
-    def arrivals_until(self, t_end: float) -> np.ndarray:
-        """Emit every remaining arrival instant <= t_end as one array."""
-        parts = []
-        while True:
-            if self._pos >= len(self._buf):
-                # Size the next block from the expected remaining count.
-                expect = max(0.0, (t_end - self._gen_cursor) * self.rate)
-                n = int(expect + 6.0 * np.sqrt(expect + 1.0)) + 64
-                self._refill(min(n, 1 << 20))
-            chunk = self._buf[self._pos:]
-            stop = int(np.searchsorted(chunk, t_end, side="right"))
-            if stop > 0:
-                parts.append(chunk[:stop].copy())
-                self._pos += stop
-                self._last_emitted = float(self._buf[self._pos - 1])
-            if stop < len(chunk):
-                break
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return (base_seed & _MASK) ^ ((path_index * SEED_STRIDE) & _MASK)
 
 
 def sample_path(seed: int, horizon: float, rate: float = 1.0) -> np.ndarray:
-    """All arrival instants in (0, horizon] for a fresh stream keyed by ``seed``."""
-    return ArrivalStream(seed, rate).arrivals_until(horizon)
+    """All arrival instants in (0, horizon] of the stream keyed by ``seed``."""
+    if not 0.0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
+    gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK))
+    blocks = []
+    tail = 0.0  # last generated instant
+    while tail <= horizon:
+        # Size the block from the expected remaining count.
+        expect = (horizon - tail) * rate
+        n = min(int(expect + 6.0 * math.sqrt(expect + 1.0)) + 64, _MAX_BLOCK)
+        inst = -np.log1p(-gen.random(n)) / rate
+        inst[0] += tail
+        np.cumsum(inst, out=inst)
+        tail = float(inst[-1])
+        blocks.append(inst)
+    if not blocks:  # horizon below 0 (or NaN)
+        return np.empty(0)
+    path = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return path[:np.searchsorted(path, horizon, side="right")]

@@ -33,13 +33,12 @@ from .analytics import (
     optimal_threshold,
     threshold_average_aoi,
 )
-from .arrivals import derive_seed
+from .arrivals import derive_seed, sample_path
 from .policies import (
     AdaptiveUnitBattery,
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    GreedyUnitBattery,
     ThresholdUnitBattery,
 )
 from .runner import (
@@ -50,7 +49,7 @@ from .runner import (
     unit_beta_objective,
     unit_uniform_period_objective,
 )
-from .simkernel import MAX_HORIZON, SimConfig, run_path
+from .simkernel import MAX_HORIZON, SimConfig, _unit_gammas, run_path
 
 DEFAULT_SEED = 1
 
@@ -150,8 +149,8 @@ def _policy_from_args(args) -> object:
         if args.beta is None:
             raise ConfigError("adaptive-b1 policy requires --beta")
         return AdaptiveUnitBattery(beta=args.beta)
-    if name == "greedy":
-        return GreedyUnitBattery()
+    if name == "greedy":  # update at every arrival
+        return ThresholdUnitBattery(tau0=0.0)
     raise ConfigError(f"unknown policy {name!r}")
 
 
@@ -194,12 +193,13 @@ def cmd_simulate(args) -> int:
                          seed=derive_seed(args.seed, 0), rate=args.rate)
         _, log = run_path(cfg0)
         header = ["index", "epoch", "delay"]
-        delays = log.delays
         rows: list[list] = [[i + 1, e, d] for i, (e, d)
-                            in enumerate(zip(log.epochs, delays))]
-        if log.gammas is not None:
+                            in enumerate(zip(log.epochs, log.delays))]
+        if capacity == 1 and log.n:
+            # Delay from each S_{n-1} to the first arrival after it.
             header.append("gamma")
-            for row, g in zip(rows, log.gammas):
+            arrivals = sample_path(cfg0.seed, cfg0.horizon, cfg0.rate)
+            for row, g in zip(rows, _unit_gammas(arrivals, log.epochs)):
                 row.append(g)
         _atomic_write(args.update_log, _csv_text(header, rows))
         _atomic_write(args.update_log + ".manifest.json", _json_text(manifest))

@@ -1,6 +1,7 @@
-"""Status-update decision rules as pure scheduling functions.
+"""Status-update policies: one frozen dataclass per rule, plus the
+bounds that tie each rule to a battery capacity.
 
-Five policy variants are supported:
+Four policy types are supported:
 
 * ``BestEffortUniform(period)``: update at every grid epoch n*period when
   the battery is non-empty, otherwise stay silent until the next grid epoch.
@@ -13,8 +14,8 @@ Five policy variants are supported:
 * ``AdaptiveUnitBattery(beta)``: B=1 scheduled-epoch rule with delay
   1/(1+beta) after a feasible epoch and 1/(1-beta) after an infeasible one;
   beta may be negative.
-* ``GreedyUnitBattery``: alias for ThresholdUnitBattery(0), update at
-  every energy arrival.
+
+The greedy rule, update at every energy arrival, is ThresholdUnitBattery(0).
 
 Infeasible scheduled epochs consume no energy and do not reset the age;
 the schedule recursion always continues from the scheduled epoch, not from
@@ -52,25 +53,11 @@ class AdaptiveUnitBattery:
     beta: float = 0.0
 
 
-@dataclass(frozen=True)
-class GreedyUnitBattery:
-    pass
-
-
 Policy = Union[BestEffortUniform, EnergyAwareAdaptive, ThresholdUnitBattery,
-               AdaptiveUnitBattery, GreedyUnitBattery]
+               AdaptiveUnitBattery]
 
 # Variants that only make sense with a one-unit battery.
-UNIT_BATTERY_VARIANTS = (ThresholdUnitBattery, AdaptiveUnitBattery, GreedyUnitBattery)
-
-
-def uniform_schedule(n: int, period: float) -> float:
-    """n-th scheduled epoch of the uniform grid, n >= 1 (epoch 0 is implicit)."""
-    if n < 1:
-        raise ValueError("n must be >= 1; the time-0 update is implicit")
-    if period <= 0:
-        raise ConfigError("period must be positive")
-    return n * period
+UNIT_BATTERY_VARIANTS = (ThresholdUnitBattery, AdaptiveUnitBattery)
 
 
 def adaptive_beta(k: float, cap: int) -> float:
@@ -88,45 +75,6 @@ def adaptive_beta(k: float, cap: int) -> float:
             f"beta = k*ln(B)/B = {beta:.6g} violates 0 < beta < 1 "
             f"(k={k:g}, B={cap})")
     return beta
-
-
-def adaptive_next_epoch(prev_epoch: float, level_before_prev: int,
-                        cap: int, beta: float) -> float:
-    """Next scheduled epoch of the energy-aware adaptive recursion.
-
-    The branch is decided by the exact integer comparison 2*level vs B, so
-    the middle (unit-delay) branch is reachable only for even B.
-    """
-    if cap < 2:
-        raise ConfigError("adaptive policy requires battery capacity >= 2")
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta = {beta:.6g} violates 0 < beta < 1")
-    doubled = 2 * level_before_prev
-    if doubled < cap:
-        return prev_epoch + 1.0 / (1.0 - beta)
-    if doubled == cap:
-        return prev_epoch + 1.0
-    return prev_epoch + 1.0 / (1.0 + beta)
-
-
-def threshold_delay(gamma: float, tau0: float) -> float:
-    """Inter-update delay of the B=1 threshold rule: wait until age tau0,
-    or update at the arrival itself when it comes later than tau0."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if tau0 < 0:
-        raise ConfigError("tau0 must be non-negative")
-    return max(gamma, tau0)
-
-
-def adaptive_unit_next_epoch(prev_epoch: float, full_before_prev: bool,
-                             beta: float) -> float:
-    """Next scheduled epoch of the B=1 adaptive rule."""
-    if not -1.0 < beta < 1.0:
-        raise ConfigError(f"beta = {beta:.6g} violates -1 < beta < 1")
-    if full_before_prev:
-        return prev_epoch + 1.0 / (1.0 + beta)
-    return prev_epoch + 1.0 / (1.0 - beta)
 
 
 def validate_policy(policy: Policy, capacity: int | None) -> None:

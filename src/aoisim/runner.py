@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytics import adaptive_gap_bound, optimal_threshold
+from .analytics import AOI_LOWER_BOUND, adaptive_gap_bound, optimal_threshold
 from .arrivals import derive_seed
 from .aoi_metrics import UpdateLog
 from .policies import (
@@ -52,7 +52,7 @@ class EnsembleResult:
 
     @property
     def mean_gap(self) -> float:
-        return self.mean_avg_aoi - 0.5
+        return self.mean_avg_aoi - AOI_LOWER_BOUND
 
 
 def running_averages(log: UpdateLog, checkpoints: np.ndarray) -> np.ndarray:

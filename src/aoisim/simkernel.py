@@ -30,20 +30,18 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .aoi_metrics import UpdateLog, accumulate_reward
 from .arrivals import sample_path
-from .analytics import AOI_LOWER_BOUND
 from .policies import (
     AdaptiveUnitBattery,
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    GreedyUnitBattery,
     Policy,
     ThresholdUnitBattery,
     adaptive_beta,
@@ -51,6 +49,9 @@ from .policies import (
 )
 
 MAX_HORIZON = 1.0e7  # keeps absolute epoch rounding below ~1e-8
+# Cap on rate * horizon, the expected number of arrivals that one path
+# holds in memory (80 MB of float64): every horizon at unit rate fits.
+MAX_EXPECTED_ARRIVALS = 1.0e7
 _MAX_GRID_EPOCHS = 1.0e8
 # Grid epochs per block of _uniform_grid. It bounds the kernel's transient
 # memory (about ten int64/float64 temporaries per epoch, some 320 kB per
@@ -277,8 +278,12 @@ class SimConfig:
         if not 0.0 < self.horizon <= MAX_HORIZON:
             raise ConfigError(
                 f"horizon must lie in (0, {MAX_HORIZON:g}]")
-        if not self.rate > 0:  # NaN fails too
-            raise ConfigError("rate must be positive")
+        if not 0.0 < self.rate < math.inf:  # NaN fails too
+            raise ConfigError("rate must be positive and finite")
+        if self.rate * self.horizon > MAX_EXPECTED_ARRIVALS:
+            raise ConfigError(
+                f"rate * horizon must not exceed {MAX_EXPECTED_ARRIVALS:g} "
+                "expected arrivals")
         if isinstance(self.policy, BestEffortUniform):
             if self.horizon / self.policy.period > _MAX_GRID_EPOCHS:
                 raise ConfigError("uniform grid too dense for this horizon")
@@ -331,8 +336,6 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
                               *_adaptive_delays(policy.beta))
     if isinstance(policy, ThresholdUnitBattery):
         return _unit_renewal_path(arrivals, horizon, float(policy.tau0))
-    if isinstance(policy, GreedyUnitBattery):
-        return _unit_renewal_path(arrivals, horizon, 0.0)
     raise ConfigError(f"unknown policy variant {type(policy).__name__}")
 
 
@@ -341,20 +344,6 @@ def _unit_gammas(arrivals: np.ndarray, epochs: np.ndarray) -> np.ndarray:
     prev = np.concatenate(([0.0], epochs[:-1]))
     idx = np.searchsorted(arrivals, prev, side="right")
     return arrivals[idx] - prev
-
-
-class _UnitBatteryLog(UpdateLog):
-    """Unit-battery update log whose gammas are extracted from the arrival
-    path when first read: ensembles never read them, the update-log CLI
-    does."""
-
-    def __init__(self, epochs: np.ndarray, arrivals: np.ndarray):
-        self.epochs = epochs
-        self._arrivals = arrivals
-
-    @cached_property
-    def gammas(self) -> np.ndarray:
-        return _unit_gammas(self._arrivals, self.epochs)
 
 
 def run_path(config: SimConfig) -> tuple[SimSummary, UpdateLog]:
@@ -366,8 +355,6 @@ def run_path(config: SimConfig) -> tuple[SimSummary, UpdateLog]:
     log = UpdateLog(epochs=epochs)
     log.validate()
     tally = accumulate_reward(log, config.horizon)
-    if config.capacity == 1 and len(epochs):
-        log = _UnitBatteryLog(epochs, arrivals)
     summary = SimSummary(
         time_avg_aoi=tally.time_average,
         reward=tally.reward,
@@ -379,8 +366,3 @@ def run_path(config: SimConfig) -> tuple[SimSummary, UpdateLog]:
         arrivals_seen=len(arrivals),
     )
     return summary, log
-
-
-def aoi_gap(summary: SimSummary) -> float:
-    """Distance of the realized time-average age from the universal bound."""
-    return summary.time_avg_aoi - AOI_LOWER_BOUND

@@ -6,16 +6,17 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from aoisim import (
+    AOI_LOWER_BOUND,
+    BestEffortUniform,
     SimConfig,
     ThresholdUnitBattery,
     UpdateLog,
     accumulate_reward,
     adaptive_gap_bound,
-    analytic_report,
-    aoi_lower_bound,
     idle_interval_pmf,
     inter_update_moments,
     optimal_threshold,
+    run_ensemble,
     run_path,
     threshold_average_aoi,
 )
@@ -35,7 +36,7 @@ def quad_moment(tau0: float, m: int) -> float:
 
 
 def test_lower_bound_value():
-    assert aoi_lower_bound() == 0.5
+    assert AOI_LOWER_BOUND == 0.5
 
 
 def test_lower_bound_attained_by_unit_uniform_log():
@@ -91,6 +92,10 @@ def test_optimal_threshold():
     assert h_star == pytest.approx(0.9012, abs=5e-4)
     # The search observes the fixed point h(tau*) = tau*; it is not assumed.
     assert abs(threshold_average_aoi(tau_star) - tau_star) < 1e-3
+    # No point of a grid over [0, 5] beats the minimizer.
+    grid = [threshold_average_aoi(t) for t in np.linspace(0.0, 5.0, 51)]
+    assert grid[0] == 1.0
+    assert h_star <= min(grid)
     with pytest.raises(ValueError):
         optimal_threshold(0.0)
 
@@ -133,13 +138,17 @@ def test_adaptive_gap_bound_values():
         adaptive_gap_bound(50.0, 10)
 
 
-def test_analytic_report_minimum_on_grid():
-    taus = np.linspace(0.0, 5.0, 51)
-    report = analytic_report(taus, tol=1e-6)
-    assert report.lower_bound == 0.5
-    values = [h for _, h in report.evaluations]
-    assert report.aoi_at_tau_star <= min(values)
-    assert report.evaluations[0] == (0.0, 1.0)
+@pytest.mark.parametrize("period", [0.1, 0.43, 1.0, 1.5])
+def test_unit_uniform_closed_form_against_ensemble(period):
+    # B=1 uniform grid at unit rate: the battery is empty after every
+    # epoch, so each epoch is feasible on its own with probability
+    # q = 1 - e^{-p}. Delays are p times a Geometric(q) count, which gives
+    # the long-term average age p(2 - q) / (2q).
+    q = -math.expm1(-period)
+    expected = period * (2.0 - q) / (2.0 * q)
+    cfg = SimConfig(BestEffortUniform(period), 1, 20_000.0, seed=2718)
+    result = run_ensemble(cfg, 20)
+    assert abs(result.mean_avg_aoi - expected) < 4.0 * result.stderr
 
 
 @pytest.mark.parametrize("tau0", [0.0, 0.5, 0.901, 2.0])

@@ -1,109 +1,88 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
 
-from aoisim import ArrivalStream, derive_seed, sample_path
-from aoisim.arrivals import SEED_STRIDE, exp_increment
+from aoisim import derive_seed, sample_path
+from aoisim.arrivals import SEED_STRIDE
+from reference_sim import PhiloxStream
 
 
-def test_exp_increment_inverse_cdf():
-    # -ln(1 - 0.5) = ln 2
-    assert exp_increment(0.5, 1.0) == pytest.approx(0.693147, abs=1e-6)
-    assert exp_increment(0.5, 2.0) == pytest.approx(math.log(2) / 2, rel=1e-12)
-
-
-def test_exp_increment_small_u_boundary():
-    inc = exp_increment(1e-15, 1.0)
-    assert 0.0 < inc < 1e-14
+def _manual_path(seed, n, rate=1.0):
+    """n arrivals from a hand-written Philox loop: the uniforms in one
+    draw, then one addition per arrival, left to right."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    t, out = 0.0, []
+    for inc in (-np.log1p(-gen.random(n)) / rate).tolist():
+        t = t + inc
+        out.append(t)
+    return np.array(out)
 
 
 def test_arrivals_strictly_increasing():
-    st = ArrivalStream(2024)
-    seq = np.array([st.next_arrival() for _ in range(20000)])
-    assert np.all(np.diff(seq) > 0)
-    assert seq[0] > 0
+    arr = sample_path(2024, 20_000.0)
+    assert len(arr) > 19_000
+    assert np.all(np.diff(arr) > 0)
+    assert arr[0] > 0
 
 
 def test_same_seed_same_sequence():
-    a = ArrivalStream(99, rate=1.0)
-    b = ArrivalStream(99, rate=1.0)
-    xs = [a.next_arrival() for _ in range(5000)]
-    ys = [b.next_arrival() for _ in range(5000)]
-    assert xs == ys
+    a = sample_path(99, 5000.0, rate=1.0)
+    b = sample_path(99, 5000.0, rate=1.0)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[:100], sample_path(100, 5000.0)[:100])
 
 
 def test_scalar_block_and_manual_consumption_agree():
-    st = ArrivalStream(123)
-    scalar = np.array([st.next_arrival() for _ in range(5000)])
-
-    block = ArrivalStream(123).arrivals_until(float(scalar[-1]))
-    assert np.array_equal(scalar, block)
-
-    # Manual Philox + inverse CDF, one uniform per arrival.
-    gen = np.random.Generator(np.random.Philox(key=123))
-    t, manual = 0.0, []
-    for _ in range(5000):
-        t = t + (-np.log1p(-gen.random()))
-        manual.append(t)
-    assert np.array_equal(scalar, np.array(manual))
-
-
-def test_cursor_tracks_last_emitted():
-    st = ArrivalStream(5)
-    assert st.cursor == 0.0
-    t1 = st.next_arrival()
-    assert st.cursor == t1
-    st.count_in(t1, t1 + 10.0)
-    assert st.cursor > t1
+    # sample_path draws uniforms in blocks of at most 2**20 and carries the
+    # running sum across blocks; a horizon holding more than 2**20 arrivals
+    # crosses a block edge.
+    horizon = 1.1 * 2**20
+    block = sample_path(123, horizon)
+    assert len(block) > 2**20
+    manual = _manual_path(123, len(block) + 1)
+    assert np.array_equal(block, manual[:-1])
+    assert manual[-1] > horizon
+    # The reference simulator's scalar stream, one uniform per arrival.
+    stream = PhiloxStream(123)
+    scalar = np.array([stream.next_arrival() for _ in range(5000)])
+    assert np.array_equal(scalar, block[:5000])
 
 
-def test_count_in_empty_interval():
-    st = ArrivalStream(1)
-    assert st.count_in(3.0, 3.0) == 0
-
-
-def test_count_in_reversed_interval_raises():
-    with pytest.raises(ValueError):
-        ArrivalStream(1).count_in(2.0, 1.0)
-
-
-def test_count_in_consistent_with_next_arrival():
-    src = ArrivalStream(77)
-    full = np.array([src.next_arrival() for _ in range(4000)])
-    st = ArrivalStream(77)
-    edges = np.arange(0.0, 100.0, 2.5)
-    counts = [st.count_in(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    # count_in uses half-open windows (a, b]
-    expected = (np.searchsorted(full, edges[1:], side="right")
-                - np.searchsorted(full, edges[:-1], side="right"))
-    assert counts == expected.tolist()
-    # The stream picks up exactly where the windows stopped.
-    nxt = st.next_arrival()
-    idx = int(np.searchsorted(full, edges[-1], side="right"))
-    assert nxt == full[idx]
+def test_sample_path_matches_stream_and_horizon():
+    arr = sample_path(55, 2000.0)
+    assert np.all(arr <= 2000.0)
+    assert np.all(np.diff(arr) > 0)
+    # A longer horizon extends the same stream: the shorter path is its
+    # prefix, and the next arrival lies past the shorter horizon.
+    longer = sample_path(55, 2500.0)
+    assert np.array_equal(longer[:len(arr)], arr)
+    assert longer[len(arr)] > 2000.0
+    stream = PhiloxStream(55)
+    scalar = [stream.next_arrival() for _ in range(len(arr) + 1)]
+    assert np.array_equal(arr, scalar[:-1])
+    assert scalar[-1] == longer[len(arr)]
+    assert len(sample_path(55, 1e-9)) == 0
 
 
 def test_poisson_window_mean_and_variance():
-    st = ArrivalStream(314159)
-    n = 1_000_000
-    counts = np.empty(n)
-    for i in range(n):
-        counts[i] = st.count_in(float(i), float(i + 1))
+    arr = sample_path(314159, 1_000_000.0)
+    edges = np.arange(1_000_001, dtype=np.float64)
+    # Windows (i, i+1]: arrivals at or before each edge, differenced.
+    counts = np.diff(np.searchsorted(arr, edges, side="right"))
+    assert len(counts) == 1_000_000
     assert counts.mean() == pytest.approx(1.0, abs=0.01)
     assert counts.var() == pytest.approx(1.0, abs=0.02)
 
 
 def test_interarrival_mean_law_of_large_numbers():
-    arr = ArrivalStream(271828).arrivals_until(1_000_000.0)
+    arr = sample_path(271828, 1_000_000.0)
     inter = np.diff(arr, prepend=0.0)
     assert len(inter) > 900_000
     assert inter.mean() == pytest.approx(1.0, abs=0.01)
 
 
 def test_interarrival_ks_exponential():
-    arr = ArrivalStream(41).arrivals_until(100_000.0)
+    arr = sample_path(41, 100_000.0)
     inter = np.diff(arr, prepend=0.0)
     assert len(inter) >= 99_000
     res = stats.kstest(inter, "expon")
@@ -111,7 +90,7 @@ def test_interarrival_ks_exponential():
 
 
 def test_memorylessness_of_residuals():
-    arr = ArrivalStream(43).arrivals_until(400_000.0)
+    arr = sample_path(43, 400_000.0)
     inter = np.diff(arr, prepend=0.0)
     s = 0.7
     residual = inter[inter > s] - s
@@ -121,14 +100,16 @@ def test_memorylessness_of_residuals():
 
 
 def test_rate_scales_mean():
-    arr = ArrivalStream(11, rate=4.0).arrivals_until(50_000.0)
+    arr = sample_path(11, 50_000.0, rate=4.0)
     inter = np.diff(arr, prepend=0.0)
     assert inter.mean() == pytest.approx(0.25, abs=0.005)
+    assert np.array_equal(arr[:1000], _manual_path(11, 1000, rate=4.0))
 
 
 def test_rate_must_be_positive():
-    with pytest.raises(ValueError):
-        ArrivalStream(1, rate=0.0)
+    for rate in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sample_path(1, 10.0, rate=rate)
 
 
 def test_derive_seed_formula():
@@ -140,13 +121,3 @@ def test_derive_seed_formula():
     assert len(seeds) == 2000
     with pytest.raises(ValueError):
         derive_seed(1, -1)
-
-
-def test_sample_path_matches_stream_and_horizon():
-    arr = sample_path(55, 2000.0)
-    assert np.all(arr <= 2000.0)
-    assert np.all(np.diff(arr) > 0)
-    st = ArrivalStream(55)
-    assert np.array_equal(arr, st.arrivals_until(2000.0))
-    # Continuing past the horizon picks up the pending arrival.
-    assert st.next_arrival() > 2000.0

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aoisim import BatteryState
+from reference_sim import BatteryState
 
 
 def test_harvest_fills_to_capacity():

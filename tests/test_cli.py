@@ -173,7 +173,13 @@ def test_analytic_non_finite_input_exit_2(capsys, mode):
      "tau0 must be non-negative"),
     (["--policy", "greedy", "--battery", "1", "--rate", "nan"],
      "rate must be positive"),
-], ids=["checkpoint", "period", "tau0", "rate"])
+    # inf used to crash with an OverflowError; a huge finite rate would
+    # try to hold about rate * horizon arrivals in memory.
+    (["--policy", "greedy", "--battery", "1", "--rate", "inf"],
+     "rate must be positive and finite"),
+    (["--policy", "uniform", "--battery", "inf", "--rate", "1e300"],
+     "rate * horizon must not exceed"),
+], ids=["checkpoint", "period", "tau0", "rate", "rate-inf", "rate-huge"])
 def test_simulate_nan_input_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "x.csv"
     code = run_cli(["simulate", *flags, "--horizon", "10", "--out", str(out)])

@@ -8,17 +8,20 @@ from aoisim import (
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    GreedyUnitBattery,
     SimConfig,
     ThresholdUnitBattery,
     adaptive_beta,
+    run_path,
+    sample_path,
+)
+from aoisim.policies import validate_policy
+from aoisim.simkernel import _unit_gammas
+from reference_sim import (
     adaptive_next_epoch,
     adaptive_unit_next_epoch,
-    run_path,
     threshold_delay,
     uniform_schedule,
 )
-from aoisim.policies import validate_policy
 
 
 def test_uniform_schedule_values():
@@ -116,7 +119,7 @@ def test_validate_policy_capacity_rules():
     validate_policy(BestEffortUniform(1.0), 1)
     validate_policy(EnergyAwareAdaptive(1.0), 100)
     validate_policy(ThresholdUnitBattery(0.9), 1)
-    validate_policy(GreedyUnitBattery(), 1)
+    validate_policy(ThresholdUnitBattery(0.0), 1)
     with pytest.raises(ConfigError):
         validate_policy(ThresholdUnitBattery(0.9), 2)
     with pytest.raises(ConfigError):
@@ -142,4 +145,5 @@ def test_threshold_renewals_look_iid():
     assert abs(rho) <= 0.01
     # and the marginal matches the threshold rule applied to gammas
     # (delays come back through an epoch difference, hence the tiny atol)
-    assert np.allclose(np.maximum(log.gammas, 0.901), x, rtol=0, atol=1e-9)
+    gammas = _unit_gammas(sample_path(cfg.seed, cfg.horizon), log.epochs)
+    assert np.allclose(np.maximum(gammas, 0.901), x, rtol=0, atol=1e-9)

@@ -5,7 +5,6 @@ from aoisim import (
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    GreedyUnitBattery,
     SimConfig,
     ThresholdUnitBattery,
     compare_unit_battery,
@@ -47,7 +46,7 @@ def test_ensemble_deterministic_and_seed_sensitive():
 
 
 def test_checkpoint_series_matches_horizon_average():
-    cfg = SimConfig(GreedyUnitBattery(), 1, 1000.0, seed=12)
+    cfg = SimConfig(ThresholdUnitBattery(0.0), 1, 1000.0, seed=12)
     result = run_ensemble(cfg, 5, checkpoints=[250.0, 1000.0])
     assert result.checkpoint_means[-1] == pytest.approx(result.mean_avg_aoi,
                                                         rel=1e-12)
@@ -56,7 +55,7 @@ def test_checkpoint_series_matches_horizon_average():
 
 
 def test_checkpoints_must_lie_in_horizon():
-    cfg = SimConfig(GreedyUnitBattery(), 1, 100.0, seed=12)
+    cfg = SimConfig(ThresholdUnitBattery(0.0), 1, 100.0, seed=12)
     with pytest.raises(ConfigError):
         run_ensemble(cfg, 2, checkpoints=[0.0, 50.0])
     with pytest.raises(ConfigError):
@@ -66,7 +65,8 @@ def test_checkpoints_must_lie_in_horizon():
 
 
 def test_running_averages_prefix():
-    summary, log = run_path(SimConfig(GreedyUnitBattery(), 1, 400.0, seed=2))
+    summary, log = run_path(
+        SimConfig(ThresholdUnitBattery(0.0), 1, 400.0, seed=2))
     ts = np.array([10.0, 107.5, 400.0])
     vals = running_averages(log, ts)
     from aoisim import UpdateLog, accumulate_reward
@@ -83,7 +83,7 @@ def test_running_averages_with_no_updates():
 
 
 def test_delay_moments_pooled():
-    cfg = SimConfig(GreedyUnitBattery(), 1, 5000.0, seed=8)
+    cfg = SimConfig(ThresholdUnitBattery(0.0), 1, 5000.0, seed=8)
     result = run_ensemble(cfg, 20)
     # Greedy delays are Exp(1): mean 1, second moment 2.
     assert result.delay_mean == pytest.approx(1.0, abs=0.03)
@@ -99,7 +99,7 @@ def test_uniform_idle_runs_extraction():
 
 
 def test_idle_run_collection_only_for_uniform():
-    cfg = SimConfig(GreedyUnitBattery(), 1, 100.0, seed=1)
+    cfg = SimConfig(ThresholdUnitBattery(0.0), 1, 100.0, seed=1)
     with pytest.raises(ConfigError):
         run_ensemble(cfg, 1, collect_idle_runs=True)
     cfg = SimConfig(BestEffortUniform(1.0), None, 2000.0, seed=1)

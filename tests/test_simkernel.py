@@ -9,27 +9,25 @@ from aoisim import (
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    GreedyUnitBattery,
     SimConfig,
-    SimSummary,
     ThresholdUnitBattery,
     UpdateLog,
     accumulate_reward,
     adaptive_beta,
-    aoi_gap,
-    integrate_trace,
     run_path,
     sample_path,
     simulate_path,
 )
+from aoisim.cli import main as cli_main
 from aoisim.simkernel import (
     _GRID_BLOCK,
     _adaptive_delays,
     _adaptive_path,
     _uniform_path,
+    _unit_gammas,
     _unit_renewal_path,
 )
-from reference_sim import reference_on_arrivals, reference_run
+from reference_sim import integrate_trace, reference_on_arrivals, reference_run
 
 ALL_POLICIES = [
     (BestEffortUniform(1.0), None),
@@ -41,7 +39,7 @@ ALL_POLICIES = [
     (ThresholdUnitBattery(2.5), 1),
     (AdaptiveUnitBattery(-0.145), 1),
     (AdaptiveUnitBattery(0.3), 1),
-    (GreedyUnitBattery(), 1),
+    (ThresholdUnitBattery(0.0), 1),  # greedy
 ]
 
 
@@ -93,20 +91,19 @@ def test_unit_battery_tie_arrival_at_update_instant_is_wasted():
     assert level == 0
 
 
-def test_greedy_equals_threshold_zero():
-    arr = sample_path(404, 2000.0)
-    a = simulate_path(arr, GreedyUnitBattery(), 1, 2000.0)
-    b = simulate_path(arr, ThresholdUnitBattery(0.0), 1, 2000.0)
-    assert np.array_equal(a[0], b[0])
-    assert a[1:] == b[1:]
-
-
-def test_aoi_gap_values():
-    def summary(avg):
-        return SimSummary(avg, 0.0, 0, 0, 0, 0, 1.0, 0)
-    assert aoi_gap(summary(0.5)) == 0.0
-    assert aoi_gap(summary(0.9012)) == pytest.approx(0.4012, rel=1e-12)
-    assert aoi_gap(summary(0.52)) == pytest.approx(0.02, rel=1e-12)
+def test_greedy_equals_threshold_zero(tmp_path):
+    # The CLI's greedy policy is the threshold rule at tau0 = 0: same
+    # series, same update log (gamma column included), byte for byte.
+    outputs = []
+    for name, flags in [("greedy", ["--policy", "greedy"]),
+                        ("thr0", ["--policy", "threshold", "--tau0", "0"])]:
+        out, log = tmp_path / f"{name}.csv", tmp_path / f"{name}-log.csv"
+        assert cli_main(["simulate", *flags, "--battery", "1",
+                         "--horizon", "2000", "--paths", "3", "--seed", "404",
+                         "--out", str(out), "--update-log", str(log)]) == 0
+        outputs.append((out.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith(b"index,epoch,delay,gamma\n")
 
 
 def test_run_path_deterministic():
@@ -115,7 +112,6 @@ def test_run_path_deterministic():
     s2, log2 = run_path(cfg)
     assert s1 == s2
     assert np.array_equal(log1.epochs, log2.epochs)
-    assert np.array_equal(log1.gammas, log2.gammas)
 
 
 @pytest.mark.parametrize("policy,capacity,horizon", [
@@ -275,18 +271,19 @@ def test_reward_matches_trace_oracle(policy, capacity):
 @pytest.mark.parametrize("policy", [ThresholdUnitBattery(0.901),
                                     AdaptiveUnitBattery(-0.145),
                                     BestEffortUniform(0.43),
-                                    GreedyUnitBattery()])
+                                    ThresholdUnitBattery(0.0)])
 def test_unit_battery_energy_causality(policy):
-    # Every unit-battery update waits for energy: X_n >= Gamma_n exactly.
+    # Every unit-battery update waits for energy: X_n >= Gamma_n exactly,
+    # where Gamma_n runs from S_{n-1} to the first arrival strictly after.
     cfg = SimConfig(policy, 1, 20_000.0, seed=77)
     _, log = run_path(cfg)
-    assert log.gammas is not None
-    assert np.all(log.delays >= log.gammas - 1e-12)
-    # Gammas are the first arrival strictly after each previous epoch.
     arr = sample_path(cfg.seed, cfg.horizon)
     prev = np.concatenate(([0.0], log.epochs[:-1]))
     idx = np.searchsorted(arr, prev, side="right")
-    assert np.array_equal(log.gammas, arr[idx] - prev)
+    gammas = arr[idx] - prev
+    assert np.all(log.delays >= gammas - 1e-12)
+    # The update-log CLI's gamma column comes from _unit_gammas.
+    assert np.array_equal(_unit_gammas(arr, log.epochs), gammas)
 
 
 def test_config_validation():
@@ -304,8 +301,12 @@ def test_config_validation():
         SimConfig(BestEffortUniform(1.0), None, 0.0, 1).validate()
     with pytest.raises(ConfigError):
         SimConfig(BestEffortUniform(1.0), None, 2e7, 1).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(BestEffortUniform(1.0), None, 10.0, 1, rate=0.0).validate()
+    # Rate 2 at T=1e7 expects 2e7 arrivals, past the cap of 1e7.
+    for rate in (0.0, float("nan"), float("inf"), 1e300, 2.0):
+        with pytest.raises(ConfigError):
+            SimConfig(BestEffortUniform(1.0), None, 1e7, 1,
+                      rate=rate).validate()
+    SimConfig(BestEffortUniform(1.0), None, 1e7, 1, rate=1.0).validate()
     with pytest.raises(ConfigError):
         SimConfig(BestEffortUniform(1e-6), None, 1e7, 1).validate()
     SimConfig(BestEffortUniform(1.0), None, 100.0, 1).validate()
@@ -317,7 +318,8 @@ def test_unbounded_battery_never_wastes():
 
 
 def test_rate_parameter_scales_arrivals():
-    fast, _ = run_path(SimConfig(GreedyUnitBattery(), 1, 5000.0, 2, rate=4.0))
-    slow, _ = run_path(SimConfig(GreedyUnitBattery(), 1, 5000.0, 2, rate=1.0))
+    greedy = ThresholdUnitBattery(0.0)
+    fast, _ = run_path(SimConfig(greedy, 1, 5000.0, 2, rate=4.0))
+    slow, _ = run_path(SimConfig(greedy, 1, 5000.0, 2, rate=1.0))
     # Greedy updates at every arrival, so update counts scale with the rate.
     assert fast.updates > 3.5 * slow.updates
