@@ -9,15 +9,17 @@ integrates the piecewise-linear age curve segment by segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateLog:
     """Ordered actual update epochs S_1 < S_2 < ... of one sample path.
 
-    The time-0 update is implicit (S_0 = 0) and never stored.
+    The time-0 update is implicit (S_0 = 0) and never stored. The log is
+    frozen, so its delays are computed once and shared by every reader.
     """
 
     epochs: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -31,10 +33,12 @@ class UpdateLog:
     def n(self) -> int:
         return len(self.epochs)
 
-    @property
+    @cached_property
     def delays(self) -> np.ndarray:
-        """X_n = S_n - S_{n-1} with S_0 = 0."""
-        return np.diff(self.epochs, prepend=0.0)
+        """X_n = S_n - S_{n-1} with S_0 = 0 (read-only: readers share it)."""
+        delays = np.diff(self.epochs, prepend=0.0)
+        delays.flags.writeable = False
+        return delays
 
     def validate(self) -> None:
         d = self.delays

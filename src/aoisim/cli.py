@@ -33,6 +33,7 @@ from .analytics import (
     optimal_threshold,
     threshold_average_aoi,
 )
+from .aoi_metrics import UpdateLog
 from .arrivals import derive_seed, sample_path
 from .policies import (
     AdaptiveUnitBattery,
@@ -49,7 +50,7 @@ from .runner import (
     unit_beta_objective,
     unit_uniform_period_objective,
 )
-from .simkernel import MAX_HORIZON, SimConfig, _unit_gammas, run_path
+from .simkernel import MAX_HORIZON, SimConfig, _unit_gammas, simulate_path
 
 DEFAULT_SEED = 1
 
@@ -188,17 +189,18 @@ def cmd_simulate(args) -> int:
         _atomic_write(args.out, _json_text(doc))
 
     if args.update_log:
-        cfg0 = SimConfig(policy=policy, capacity=capacity,
-                         horizon=args.horizon,
-                         seed=derive_seed(args.seed, 0), rate=args.rate)
-        _, log = run_path(cfg0)
+        # Path 0 of the ensemble, replayed on its arrivals drawn once.
+        arrivals = sample_path(derive_seed(args.seed, 0), args.horizon,
+                               args.rate)
+        log = UpdateLog(epochs=simulate_path(arrivals, policy, capacity,
+                                             args.horizon)[0])
+        log.validate()
         header = ["index", "epoch", "delay"]
         rows: list[list] = [[i + 1, e, d] for i, (e, d)
                             in enumerate(zip(log.epochs, log.delays))]
         if capacity == 1 and log.n:
             # Delay from each S_{n-1} to the first arrival after it.
             header.append("gamma")
-            arrivals = sample_path(cfg0.seed, cfg0.horizon, cfg0.rate)
             for row, g in zip(rows, _unit_gammas(arrivals, log.epochs)):
                 row.append(g)
         _atomic_write(args.update_log, _csv_text(header, rows))

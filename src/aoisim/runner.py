@@ -109,14 +109,10 @@ def run_ensemble(config: SimConfig, n_paths: int, checkpoints=(),
         sum_x2 += float(np.sum(d * d))
         n_delays += len(d)
         if collect_idle_runs:
-            runs = uniform_idle_runs(d, config.policy.period)
-            if len(runs):
-                binned = np.bincount(runs)
-                if len(binned) > len(idle_hist):
-                    binned[:len(idle_hist)] += idle_hist
-                    idle_hist = binned
-                else:
-                    idle_hist[:len(binned)] += binned
+            binned = np.bincount(uniform_idle_runs(d, config.policy.period),
+                                 minlength=len(idle_hist))
+            binned[:len(idle_hist)] += idle_hist
+            idle_hist = binned
 
     stderr = float(np.std(avgs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return EnsembleResult(
@@ -228,17 +224,13 @@ def unit_beta_objective(horizon: float, n_paths: int, base_seed: int):
 
 
 def compare_unit_battery(horizon: float, n_paths: int, base_seed: int,
-                         checkpoints=(),
-                         uniform_period: float = DEFAULT_B1_UNIFORM_PERIOD,
-                         beta: float = DEFAULT_B1_BETA,
-                         tau0: float | None = None) -> dict[str, EnsembleResult]:
-    """Three-policy B=1 comparison on common random numbers."""
-    if tau0 is None:
-        tau0, _ = optimal_threshold(1e-6)
+                         checkpoints=()) -> dict[str, EnsembleResult]:
+    """Three-policy B=1 comparison on common random numbers, at the
+    module's default period and beta and the optimal threshold."""
     policies = {
-        "uniform": BestEffortUniform(period=uniform_period),
-        "adaptive": AdaptiveUnitBattery(beta=beta),
-        "threshold": ThresholdUnitBattery(tau0=tau0),
+        "uniform": BestEffortUniform(period=DEFAULT_B1_UNIFORM_PERIOD),
+        "adaptive": AdaptiveUnitBattery(beta=DEFAULT_B1_BETA),
+        "threshold": ThresholdUnitBattery(tau0=optimal_threshold(1e-6)[0]),
     }
     out = {}
     for name, policy in policies.items():

@@ -15,6 +15,12 @@ ndarray slices. The numpy kernel computes the same float products and
 integer counts as the uniform loop, so results are bit-identical
 whichever code runs.
 
+The kernels walk the epochs up to T and return (epochs, wasted,
+infeasible, level, seen), with the level after the last epoch and the
+arrivals consumed. ``simulate_path`` settles the battery once for all:
+it lands the arrivals left up to T, clamps the level to the capacity,
+counts the overflow as wasted, and checks energy conservation.
+
 Conventions baked in here:
 
 * The battery holds one unit right before t=0 and the time-0 update
@@ -24,8 +30,9 @@ Conventions baked in here:
   strictly before each scheduled epoch.
 * A unit-battery arrival landing exactly on an update instant is counted
   as wasted (probability-zero tie; keeps epochs strictly increasing).
-* The horizon only truncates: events later than T never happen, and the
-  tail age (T - S_N)^2 / 2 is added by the reward accounting.
+* The horizon only truncates: events later than T, arrivals included,
+  never happen; the tail age (T - S_N)^2 / 2 is added by the reward
+  accounting.
 """
 
 from __future__ import annotations
@@ -114,14 +121,7 @@ def _uniform_path(arrivals, horizon, cap, period):
         else:
             infeasible += 1
         n += 1
-    # Arrivals between the last grid epoch and the horizon still land.
-    while idx < n_arr:
-        level += 1
-        idx += 1
-    if cap >= 0 and level > cap:
-        wasted += level - cap
-        level = cap
-    return epochs[:n_up], wasted, infeasible, level
+    return epochs[:n_up], wasted, infeasible, level, idx
 
 
 def _uniform_grid(arrivals, horizon, cap, period):
@@ -136,7 +136,6 @@ def _uniform_grid(arrivals, horizon, cap, period):
     W_n = L_0 + sum_{i<=n} (A_i - 1); epoch n is feasible iff
     L_{n-1} + A_n >= 1.
     """
-    n_arr = arrivals.shape[0]
     last = int(horizon / period)  # largest n with n * period <= horizon
     while (last + 1) * period <= horizon:
         last += 1
@@ -165,13 +164,8 @@ def _uniform_grid(arrivals, horizon, cap, period):
         epochs = s[feasible]
         parts.append(epochs)
         infeasible += len(s) - len(epochs)
-    # Arrivals between the last grid epoch and the horizon still land.
-    level += n_arr - seen
-    if cap >= 0 and level > cap:
-        wasted += level - cap
-        level = cap
     epochs = np.concatenate(parts) if parts else np.empty(0, np.float64)
-    return epochs, wasted, infeasible, level
+    return epochs, wasted, infeasible, level, seen
 
 
 @_jit
@@ -217,13 +211,7 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
             n_up += 1
         else:
             infeasible += 1
-    while idx < n_arr:
-        level += 1
-        idx += 1
-    if level > cap:
-        wasted += level - cap
-        level = cap
-    return epochs[:n_up], wasted, infeasible, level
+    return epochs[:n_up], wasted, infeasible, level, idx
 
 
 @_jit
@@ -251,13 +239,7 @@ def _unit_renewal_path(arrivals, horizon, tau0):
         out[n_up] = s_next
         n_up += 1
         s = s_next
-    # Tail: the first leftover arrival fills the slot, the rest overflow.
-    if idx < n_arr:
-        level = 1
-        wasted += n_arr - idx - 1
-    else:
-        level = 0
-    return epochs[:n_up], wasted, 0, level
+    return epochs[:n_up], wasted, 0, 0, idx
 
 
 @dataclass(frozen=True)
@@ -303,16 +285,9 @@ class SimSummary:
     arrivals_seen: int
 
 
-def _adaptive_delays(beta: float) -> tuple[float, float, float]:
-    """Delays (1/(1-beta), 1, 1/(1+beta)) for levels below, at and above
-    half the battery."""
-    beta = float(beta)
-    return 1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta)
-
-
 def simulate_path(arrivals: np.ndarray, policy: Policy,
                   capacity: int | None, horizon: float):
-    """Run one policy over a materialized arrival array.
+    """Run one policy over a sorted, materialized arrival array.
 
     Returns (epochs, wasted, infeasible, final_level). Exposed separately
     from run_path so tests can drive hand-crafted arrival sequences.
@@ -324,19 +299,31 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
     horizon = float(horizon)
     cap = -1 if capacity is None else int(capacity)
     if isinstance(policy, BestEffortUniform):
-        period = float(policy.period)
-        if cap < 0 or cap == 1:
-            return _uniform_grid(arrivals, horizon, cap, period)
-        return _uniform_path(arrivals, horizon, cap, period)
-    if isinstance(policy, EnergyAwareAdaptive):
-        return _adaptive_path(arrivals, horizon, cap,
-                              *_adaptive_delays(adaptive_beta(policy.k, cap)))
-    if isinstance(policy, AdaptiveUnitBattery):
-        return _adaptive_path(arrivals, horizon, 1,
-                              *_adaptive_delays(policy.beta))
-    if isinstance(policy, ThresholdUnitBattery):
-        return _unit_renewal_path(arrivals, horizon, float(policy.tau0))
-    raise ConfigError(f"unknown policy variant {type(policy).__name__}")
+        kernel = _uniform_grid if cap < 0 or cap == 1 else _uniform_path
+        walked = kernel(arrivals, horizon, cap, float(policy.period))
+    elif isinstance(policy, ThresholdUnitBattery):
+        walked = _unit_renewal_path(arrivals, horizon, float(policy.tau0))
+    elif isinstance(policy, (EnergyAwareAdaptive, AdaptiveUnitBattery)):
+        # Delays for levels below, at and above half the battery; the B=1
+        # variant runs at cap == 1, which validate_policy enforces.
+        beta = float(policy.beta if isinstance(policy, AdaptiveUnitBattery)
+                     else adaptive_beta(policy.k, cap))
+        walked = _adaptive_path(arrivals, horizon, cap, 1.0 / (1.0 - beta),
+                                1.0, 1.0 / (1.0 + beta))
+    else:
+        raise ConfigError(f"unknown policy variant {type(policy).__name__}")
+    epochs, wasted, infeasible, level, seen = walked
+    # The arrivals left up to T land; a full battery loses the overflow.
+    landed = int(np.searchsorted(arrivals, horizon, side="right"))
+    level += landed - seen
+    if cap >= 0 and level > cap:
+        wasted += level - cap
+        level = cap
+    if landed != level + len(epochs) + wasted:
+        raise RuntimeError(f"energy not conserved: {landed} arrivals, "
+                           f"{len(epochs)} updates, {wasted} wasted, "
+                           f"level {level}")
+    return epochs, wasted, infeasible, level
 
 
 def _unit_gammas(arrivals: np.ndarray, epochs: np.ndarray) -> np.ndarray:

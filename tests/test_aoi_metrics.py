@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,3 +112,14 @@ def test_update_log_delays_roundtrip():
     log = UpdateLog.from_delays(d)
     assert np.allclose(log.delays, d, rtol=0, atol=1e-15)
     assert log.n == 3
+
+
+def test_update_log_is_frozen_and_diffs_once():
+    # Every reader of a log shares one delay array, which stays right
+    # because the epochs cannot be swapped out from under it.
+    log = UpdateLog(epochs=np.array([1.0, 2.5]))
+    assert log.delays is log.delays
+    with pytest.raises(ValueError):
+        log.delays[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.epochs = np.array([3.0])

@@ -164,6 +164,21 @@ def test_sweep_battery_reports_invalid_cells():
     assert ok.beta == pytest.approx(np.log(30) / 30)
 
 
+@pytest.mark.parametrize("period,horizon", [(1.0, 400.0), (0.4, 1.0),
+                                            (2.5, 300.0)])
+def test_idle_run_counts_merge_every_path(period, horizon):
+    # The histogram equals one bincount over the runs of all paths, with
+    # a single zero bin when no run closes (period 0.4 at T=1).
+    cfg = SimConfig(BestEffortUniform(period), None, horizon, seed=8)
+    result = run_ensemble(cfg, 6, collect_idle_runs=True)
+    runs = [uniform_idle_runs(run_path(SimConfig(
+        cfg.policy, None, horizon, derive_seed(8, i)))[1].delays, period)
+        for i in range(6)]
+    expected = np.bincount(np.concatenate(runs), minlength=1)
+    assert result.idle_run_counts.dtype == np.int64
+    assert np.array_equal(result.idle_run_counts, expected)
+
+
 def test_compare_unit_battery_smoke():
     results = compare_unit_battery(horizon=2000.0, n_paths=5, base_seed=4,
                                    checkpoints=[500.0, 2000.0])

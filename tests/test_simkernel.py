@@ -13,19 +13,18 @@ from aoisim import (
     ThresholdUnitBattery,
     UpdateLog,
     accumulate_reward,
-    adaptive_beta,
+    derive_seed,
     run_path,
     sample_path,
     simulate_path,
 )
+from aoisim import simkernel
 from aoisim.cli import main as cli_main
 from aoisim.simkernel import (
     _GRID_BLOCK,
-    _adaptive_delays,
-    _adaptive_path,
+    _uniform_grid,
     _uniform_path,
     _unit_gammas,
-    _unit_renewal_path,
 )
 from reference_sim import integrate_trace, reference_on_arrivals, reference_run
 
@@ -167,13 +166,16 @@ def _grid_arrivals(draw):
 @example(case=(0.43, float(np.nextafter(9 * 0.43, 0.0)), np.array([3.0])))
 def test_uniform_grid_kernel_matches_loop(capacity, case):
     period, horizon, arrivals = case
-    epochs, wasted, infeasible, level = simulate_path(
+    cap = -1 if capacity is None else capacity
+    grid = _uniform_grid(arrivals, horizon, cap, period)
+    loop = _uniform_path(arrivals, horizon, cap, period)
+    assert np.array_equal(grid[0], loop[0])
+    assert grid[1:] == loop[1:]
+    # Only the arrivals at or before T land (4.73 lies past 11 * 0.43).
+    epochs, wasted, _, level = simulate_path(
         arrivals, BestEffortUniform(period), capacity, horizon)
-    loop = _uniform_path(arrivals, horizon,
-                         -1 if capacity is None else capacity, period)
-    assert np.array_equal(epochs, loop[0])
-    assert (wasted, infeasible, level) == loop[1:]
-    assert len(arrivals) == level + len(epochs) + wasted
+    landed = np.searchsorted(arrivals, horizon, side="right")
+    assert landed == level + len(epochs) + wasted
 
 
 @st.composite
@@ -205,10 +207,8 @@ def _loop_arrivals(draw):
 @example(case=(40.0, np.empty(0)))
 def test_adaptive_loop_matches_reference(policy, capacity, case):
     horizon, arrivals = case
-    beta = (policy.beta if capacity == 1
-            else adaptive_beta(policy.k, capacity))
-    epochs, wasted, infeasible, level = _adaptive_path(
-        arrivals, horizon, capacity, *_adaptive_delays(beta))
+    epochs, wasted, infeasible, level = simulate_path(
+        arrivals, policy, capacity, horizon)
     ref = reference_on_arrivals(arrivals, policy, capacity, horizon)
     assert np.array_equal(epochs, ref.epochs)
     assert (wasted, infeasible, level) == (ref.wasted, ref.infeasible,
@@ -223,13 +223,72 @@ def test_adaptive_loop_matches_reference(policy, capacity, case):
 @example(case=(3.0, np.array([0.25, 1.0, 1.25, 2.25, 2.5])))
 def test_unit_renewal_loop_matches_reference(tau0, case):
     horizon, arrivals = case
-    epochs, wasted, infeasible, level = _unit_renewal_path(
-        arrivals, horizon, tau0)
-    ref = reference_on_arrivals(arrivals, ThresholdUnitBattery(tau0), 1,
-                                horizon)
+    policy = ThresholdUnitBattery(tau0)
+    epochs, wasted, infeasible, level = simulate_path(
+        arrivals, policy, 1, horizon)
+    ref = reference_on_arrivals(arrivals, policy, 1, horizon)
     assert np.array_equal(epochs, ref.epochs)
     assert (wasted, infeasible, level) == (ref.wasted, ref.infeasible,
                                            ref.final_level)
+
+
+@pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
+def test_arrivals_after_horizon_never_land(policy, capacity):
+    # Arrivals past T are not energy: the run over them equals the run
+    # over the arrivals up to T, and the reference's, in every count.
+    arrivals = np.array([0.5, 2.0, 2.7, 3.1, 4.0])
+    ref = reference_on_arrivals(arrivals, policy, capacity, 1.0)
+    epochs, wasted, infeasible, level = simulate_path(
+        arrivals, policy, capacity, 1.0)
+    assert np.array_equal(epochs, ref.epochs)
+    assert (wasted, infeasible, level) == (ref.wasted, ref.infeasible,
+                                           ref.final_level)
+    assert simulate_path(arrivals[:1], policy, capacity, 1.0)[1:] == (
+        wasted, infeasible, level)
+
+
+def test_broken_kernel_is_a_bug_not_a_usage_error(monkeypatch, tmp_path):
+    # A kernel that miscounts waste breaks energy conservation, which
+    # simulate_path checks once for every policy: a RuntimeError, never
+    # a ConfigError that the CLI would turn into exit 2.
+    def leaky(arrivals, horizon, tau0):
+        epochs, wasted, infeasible, level, seen = renewal(
+            arrivals, horizon, tau0)
+        return epochs, wasted + 1, infeasible, level, seen
+    renewal = simkernel._unit_renewal_path
+    monkeypatch.setattr(simkernel, "_unit_renewal_path", leaky)
+    with pytest.raises(RuntimeError, match="energy not conserved"):
+        simulate_path(np.array([0.5, 2.0]), ThresholdUnitBattery(0.0), 1, 3.0)
+    with pytest.raises(RuntimeError, match="energy not conserved"):
+        cli_main(["simulate", "--policy", "greedy", "--battery", "1",
+                  "--horizon", "50", "--out", str(tmp_path / "r.csv")])
+
+
+@pytest.mark.parametrize("flags,capacity,policy", [
+    (["--policy", "threshold", "--tau0", "0.901", "--battery", "1"], 1,
+     ThresholdUnitBattery(0.901)),
+    (["--policy", "adaptive-b1", "--beta", "-0.145", "--battery", "1"], 1,
+     AdaptiveUnitBattery(-0.145)),
+    (["--policy", "uniform", "--period", "1", "--battery", "3"], 3,
+     BestEffortUniform(1.0)),
+    (["--policy", "adaptive", "--k", "1", "--battery", "3"], 3,
+     EnergyAwareAdaptive(1.0)),
+], ids=["threshold-B1", "adaptive-B1", "uniform-B3", "adaptive-B3"])
+def test_update_log_is_path_zero(tmp_path, flags, capacity, policy):
+    # The update log holds the epochs of path 0 of the ensemble, bit for
+    # bit, and its gamma column (B=1) comes from the same arrivals.
+    logfile = tmp_path / "log.csv"
+    assert cli_main(["simulate", *flags, "--horizon", "2000", "--paths", "2",
+                     "--seed", "909", "--out", str(tmp_path / "r.csv"),
+                     "--update-log", str(logfile)]) == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in logfile.read_text().splitlines()[1:]])
+    seed = derive_seed(909, 0)
+    ref = reference_run(seed, policy, capacity, 2000.0)
+    assert np.array_equal(rows[:, 1], ref.epochs)
+    if capacity == 1:
+        gammas = _unit_gammas(sample_path(seed, 2000.0), ref.epochs)
+        assert np.array_equal(rows[:, 3], gammas)
 
 
 @pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
