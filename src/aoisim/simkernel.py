@@ -1,19 +1,20 @@
 """Event-driven execution of one policy on one arrival sample path.
 
 One run walks a materialized arrival array in exact epoch arithmetic (no
-time discretization). The best-effort uniform grid with an unbounded or a
-unit battery runs as a numpy kernel over fixed blocks of grid epochs; the
-battery level after the last epoch of a block is the only state carried
-into the next, so the result does not depend on the block size. Every
-other policy runs as a per-epoch loop, jitted with numba when it is
-available and plain Python otherwise; both execute the same statements.
-Without numba the loops read the arrivals and write the epochs through
-memoryviews of the same float64 arrays (``_view``), which hand out and
-take Python floats instead of boxing a numpy scalar per access; with
-numba ``_view`` is a jitted identity. Either way the loops return
-ndarray slices. The numpy kernel computes the same float products and
-integer counts as the uniform loop, so results are bit-identical
-whichever code runs.
+time discretization), one per-epoch loop per regime: the uniform grid,
+the adaptive schedule and the B=1 threshold renewals. The loops run as C
+(``_loops.c``), compiled with the system's ``cc`` on first import, cached
+in ``__pycache__`` and called through ctypes; ``BACKEND`` says "c". With
+no compiler, or when the build or load fails, ``BACKEND`` is "python" and
+the same loops run in plain Python, reading the arrivals and writing the
+epochs through memoryviews of the same arrays, which hand out and take
+Python floats, so that no numpy scalar is boxed per access. There the
+uniform grid with an unbounded or a unit battery runs as a numpy kernel
+over fixed blocks of grid epochs instead, which carries only the battery
+level from one block to the next, so the result does not depend on the
+block size. Every backend computes the same float
+operations in the same order, so results are bit-identical whichever
+code runs; the tests compare each with ``tests/reference_sim.py``.
 
 The kernels walk the epochs up to T and return (epochs, wasted,
 infeasible, level, seen), with the level after the last epoch and the
@@ -37,7 +38,12 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import shutil
+import tempfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,36 +74,13 @@ _MAX_GRID_EPOCHS = 1.0e8
 # memory but ran a quarter slower.
 _GRID_BLOCK = 4096
 
-try:
-    from numba import njit as _njit
-
-    def _jit(func):
-        return _njit(cache=True)(func)
-
-    @_jit
-    def _view(array):
-        """Identity: jitted loops index the float64 array itself."""
-        return array
-
-except ImportError:  # pragma: no cover - numba is a declared dependency
-
-    def _jit(func):
-        return func
-
-    # Plain-Python loops index a memoryview of the float64 array instead:
-    # reads give Python floats and writes take them, with no numpy scalar
-    # boxed or unboxed per epoch, and nothing is copied.
-    _view = memoryview
-
-
-@_jit
 def _uniform_path(arrivals, horizon, cap, period):
     """Best-effort uniform grid; cap < 0 means unbounded."""
     n_arr = arrivals.shape[0]
     grid = int(horizon / period) + 2
     epochs = np.empty(min(grid, n_arr + 1), np.float64)
-    arr = _view(arrivals)
-    out = _view(epochs)
+    arr = memoryview(arrivals)
+    out = memoryview(epochs)
     level = 0
     idx = 0
     n_up = 0
@@ -168,7 +151,6 @@ def _uniform_grid(arrivals, horizon, cap, period):
     return epochs, wasted, infeasible, level, seen
 
 
-@_jit
 def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
     """Recursive schedule with the delay picked by 2*level vs cap.
 
@@ -179,8 +161,8 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
     d_min = min(d_low, min(d_mid, d_high))
     grid = int(horizon / d_min) + 4
     epochs = np.empty(min(grid, n_arr + 1), np.float64)
-    arr = _view(arrivals)
-    out = _view(epochs)
+    arr = memoryview(arrivals)
+    out = memoryview(epochs)
     level = 0
     level_before = 1  # battery right before the time-0 update
     idx = 0
@@ -214,14 +196,13 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
     return epochs[:n_up], wasted, infeasible, level, idx
 
 
-@_jit
 def _unit_renewal_path(arrivals, horizon, tau0):
     """B=1 threshold renewals: each update consumes the first arrival after
     the previous update; later arrivals before the update are wasted."""
     n_arr = arrivals.shape[0]
     epochs = np.empty(n_arr + 1, np.float64)
-    arr = _view(arrivals)
-    out = _view(epochs)
+    arr = memoryview(arrivals)
+    out = memoryview(epochs)
     idx = 0
     n_up = 0
     wasted = 0
@@ -240,6 +221,81 @@ def _unit_renewal_path(arrivals, horizon, tau0):
         n_up += 1
         s = s_next
     return epochs[:n_up], wasted, 0, 0, idx
+
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_loops.c")
+_CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _load_loops(source=_SOURCE, cache=None):
+    """The compiled loops of _loops.c, or None when they cannot be had.
+
+    The library is cached in __pycache__ beside the source under a key
+    over the source, the flags and the compiler's real path, size and
+    mtime, so a cache hit stats the compiler but runs nothing. A build
+    goes to a temporary file that is renamed into place once complete.
+    """
+    cache = cache or os.path.join(os.path.dirname(source), "__pycache__")
+    try:
+        cc = shutil.which("cc")
+        if cc is None:
+            return None
+        cc = os.path.realpath(cc)
+        stat = os.stat(cc)
+        with open(source, "rb") as fh:
+            key = zlib.crc32(fh.read())
+        key = zlib.crc32(f"{_CFLAGS} {cc} {stat.st_size} "
+                         f"{stat.st_mtime_ns}".encode(), key)
+        path = os.path.join(cache, f"_loops-{key:08x}.so")
+        if not os.path.exists(path):
+            _build(cc, source, cache, path)
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    for name, params in [("uniform_path", [i64, f64]),
+                         ("adaptive_path", [i64, f64, f64, f64]),
+                         ("unit_renewal_path", [f64])]:
+        fn = getattr(lib, name)
+        fn.argtypes = [pointer, i64, f64, *params, pointer, i64, pointer]
+        fn.restype = ctypes.c_int
+    return lib
+
+
+def _build(cc, source, cache, path):
+    """Compile source into the shared library at path, atomically."""
+    import subprocess
+
+    os.makedirs(cache, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, source],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise OSError(f"{cc} failed: {proc.stderr.strip()}")
+        os.chmod(tmp, 0o755)  # mkstemp made it private to this user
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+_LOOPS = _load_loops()
+# "c" when the loops of _loops.c run, "python" for the fallback loops.
+BACKEND = "python" if _LOOPS is None else "c"
+
+
+def _c_walk(loop, room, arrivals, *params):
+    """Run one C loop with room for `room` epochs; same result as the
+    Python loop of the same name."""
+    epochs = np.empty(room, np.float64)
+    counts = (ctypes.c_int64 * 5)()
+    if loop(arrivals.ctypes.data, arrivals.size, *params, epochs.ctypes.data,
+            room, counts):
+        raise RuntimeError(f"{loop.__name__} needs more than {room} epochs")
+    n_up, wasted, infeasible, level, seen = counts
+    return epochs[:n_up], wasted, infeasible, level, seen
 
 
 @dataclass(frozen=True)
@@ -286,30 +342,57 @@ class SimSummary:
 
 
 def simulate_path(arrivals: np.ndarray, policy: Policy,
-                  capacity: int | None, horizon: float):
+                  capacity: int | None, horizon: float, *, check=True):
     """Run one policy over a sorted, materialized arrival array.
 
-    Returns (epochs, wasted, infeasible, final_level). Exposed separately
-    from run_path so tests can drive hand-crafted arrival sequences.
+    Returns (epochs, wasted, infeasible, final_level). Raises ConfigError
+    unless the arrivals are a 1-d array of finite, non-decreasing times;
+    check=False skips that scan for arrivals sorted by construction, as
+    sample_path output is. Exposed separately from run_path so tests can
+    drive hand-crafted arrival sequences.
     """
     validate_policy(policy, capacity)
     arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+    if check and (arrivals.ndim != 1 or not np.isfinite(arrivals).all()
+                  or (arrivals[1:] < arrivals[:-1]).any()):
+        raise ConfigError(
+            "arrivals must be a 1-d array of finite, non-decreasing times")
     # Python scalars keep numpy scalar arithmetic out of the plain-Python
     # loops; float() of a numpy float64 is exact, so results do not change.
     horizon = float(horizon)
     cap = -1 if capacity is None else int(capacity)
+    # The C loops get the epoch buffers the Python loops allocate: no more
+    # updates than arrivals, nor than the schedule holds up to T.
+    compiled = BACKEND == "c"
+    room = arrivals.size + 1
     if isinstance(policy, BestEffortUniform):
-        kernel = _uniform_grid if cap < 0 or cap == 1 else _uniform_path
-        walked = kernel(arrivals, horizon, cap, float(policy.period))
+        period = float(policy.period)
+        if compiled:
+            walked = _c_walk(_LOOPS.uniform_path,
+                             min(int(horizon / period) + 2, room),
+                             arrivals, horizon, cap, period)
+        else:
+            kernel = _uniform_grid if cap < 0 or cap == 1 else _uniform_path
+            walked = kernel(arrivals, horizon, cap, period)
     elif isinstance(policy, ThresholdUnitBattery):
-        walked = _unit_renewal_path(arrivals, horizon, float(policy.tau0))
+        tau0 = float(policy.tau0)
+        if compiled:
+            walked = _c_walk(_LOOPS.unit_renewal_path, room, arrivals,
+                             horizon, tau0)
+        else:
+            walked = _unit_renewal_path(arrivals, horizon, tau0)
     elif isinstance(policy, (EnergyAwareAdaptive, AdaptiveUnitBattery)):
         # Delays for levels below, at and above half the battery; the B=1
         # variant runs at cap == 1, which validate_policy enforces.
         beta = float(policy.beta if isinstance(policy, AdaptiveUnitBattery)
                      else adaptive_beta(policy.k, cap))
-        walked = _adaptive_path(arrivals, horizon, cap, 1.0 / (1.0 - beta),
-                                1.0, 1.0 / (1.0 + beta))
+        delays = (1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta))
+        if compiled:
+            walked = _c_walk(_LOOPS.adaptive_path,
+                             min(int(horizon / min(delays)) + 4, room),
+                             arrivals, horizon, cap, *delays)
+        else:
+            walked = _adaptive_path(arrivals, horizon, cap, *delays)
     else:
         raise ConfigError(f"unknown policy variant {type(policy).__name__}")
     epochs, wasted, infeasible, level, seen = walked
@@ -338,7 +421,8 @@ def run_path(config: SimConfig) -> tuple[SimSummary, UpdateLog]:
     config.validate()
     arrivals = sample_path(config.seed, config.horizon, config.rate)
     epochs, wasted, infeasible, level = simulate_path(
-        arrivals, config.policy, config.capacity, config.horizon)
+        arrivals, config.policy, config.capacity, config.horizon,
+        check=False)
     log = UpdateLog(epochs=epochs)
     log.validate()
     tally = accumulate_reward(log, config.horizon)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from aoisim import cli
+from aoisim import cli, simkernel
 from aoisim.cli import main
 
 
@@ -42,6 +42,9 @@ def test_simulate_json_format_embeds_manifest(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["manifest"]["subcommand"] == "simulate"
+    # The backend that ran; not in the manifest, which the CSV outputs share.
+    assert doc["backend"] == simkernel.BACKEND in ("c", "python")
+    assert "backend" not in json.dumps(doc["manifest"])
     assert doc["n_paths"] == 2
     assert doc["series"][-1]["t"] == 500.0
     assert doc["mean_avg_aoi"] > 0.5

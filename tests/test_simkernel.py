@@ -1,4 +1,9 @@
+import ctypes
 import dataclasses
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +32,24 @@ from aoisim.simkernel import (
     _unit_gammas,
 )
 from reference_sim import integrate_trace, reference_on_arrivals, reference_run
+
+# Every backend this machine has: the C loops when they were built, and
+# always the Python fallback, forced by patching simkernel.BACKEND.
+BACKENDS = ["c", "python"] if simkernel.BACKEND == "c" else ["python"]
+
+
+def assert_backends_match_reference(arrivals, policy, capacity, horizon):
+    """simulate_path on every backend equals the reference simulator."""
+    ref = reference_on_arrivals(arrivals, policy, capacity, horizon)
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            epochs, wasted, infeasible, level = simulate_path(
+                arrivals, policy, capacity, horizon)
+        assert np.array_equal(epochs, ref.epochs), backend
+        assert (wasted, infeasible, level) == (
+            ref.wasted, ref.infeasible, ref.final_level), backend
+
 
 ALL_POLICIES = [
     (BestEffortUniform(1.0), None),
@@ -178,6 +201,16 @@ def test_uniform_grid_kernel_matches_loop(capacity, case):
     assert landed == level + len(epochs) + wasted
 
 
+@pytest.mark.parametrize("capacity", [None, 1, 2, 5, 30])
+@given(case=_grid_arrivals())
+@example(case=(0.43, 11 * 0.43, np.array([0.43, 4.0, 4.73])))
+@example(case=(0.43, float(np.nextafter(9 * 0.43, 0.0)), np.array([3.0])))
+def test_uniform_matches_reference(capacity, case):
+    period, horizon, arrivals = case
+    assert_backends_match_reference(arrivals, BestEffortUniform(period),
+                                    capacity, horizon)
+
+
 @st.composite
 def _loop_arrivals(draw):
     """(horizon, arrivals) for the per-epoch loops: arrivals in (0, T], none
@@ -207,12 +240,7 @@ def _loop_arrivals(draw):
 @example(case=(40.0, np.empty(0)))
 def test_adaptive_loop_matches_reference(policy, capacity, case):
     horizon, arrivals = case
-    epochs, wasted, infeasible, level = simulate_path(
-        arrivals, policy, capacity, horizon)
-    ref = reference_on_arrivals(arrivals, policy, capacity, horizon)
-    assert np.array_equal(epochs, ref.epochs)
-    assert (wasted, infeasible, level) == (ref.wasted, ref.infeasible,
-                                           ref.final_level)
+    assert_backends_match_reference(arrivals, policy, capacity, horizon)
 
 
 @pytest.mark.parametrize("tau0", [0.0, 0.5, 0.901, 1.0, 2.5])
@@ -223,13 +251,8 @@ def test_adaptive_loop_matches_reference(policy, capacity, case):
 @example(case=(3.0, np.array([0.25, 1.0, 1.25, 2.25, 2.5])))
 def test_unit_renewal_loop_matches_reference(tau0, case):
     horizon, arrivals = case
-    policy = ThresholdUnitBattery(tau0)
-    epochs, wasted, infeasible, level = simulate_path(
-        arrivals, policy, 1, horizon)
-    ref = reference_on_arrivals(arrivals, policy, 1, horizon)
-    assert np.array_equal(epochs, ref.epochs)
-    assert (wasted, infeasible, level) == (ref.wasted, ref.infeasible,
-                                           ref.final_level)
+    assert_backends_match_reference(arrivals, ThresholdUnitBattery(tau0), 1,
+                                    horizon)
 
 
 @pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
@@ -247,21 +270,99 @@ def test_arrivals_after_horizon_never_land(policy, capacity):
         wasted, infeasible, level)
 
 
-def test_broken_kernel_is_a_bug_not_a_usage_error(monkeypatch, tmp_path):
+def test_broken_kernel_is_a_bug_not_a_usage_error(tmp_path):
     # A kernel that miscounts waste breaks energy conservation, which
     # simulate_path checks once for every policy: a RuntimeError, never
-    # a ConfigError that the CLI would turn into exit 2.
-    def leaky(arrivals, horizon, tau0):
-        epochs, wasted, infeasible, level, seen = renewal(
-            arrivals, horizon, tau0)
-        return epochs, wasted + 1, infeasible, level, seen
-    renewal = simkernel._unit_renewal_path
-    monkeypatch.setattr(simkernel, "_unit_renewal_path", leaky)
-    with pytest.raises(RuntimeError, match="energy not conserved"):
-        simulate_path(np.array([0.5, 2.0]), ThresholdUnitBattery(0.0), 1, 3.0)
-    with pytest.raises(RuntimeError, match="energy not conserved"):
-        cli_main(["simulate", "--policy", "greedy", "--battery", "1",
-                  "--horizon", "50", "--out", str(tmp_path / "r.csv")])
+    # a ConfigError that the CLI would turn into exit 2. On the C backend
+    # the renewal loop is reached through _c_walk.
+    for backend in BACKENDS:
+        name = "_c_walk" if backend == "c" else "_unit_renewal_path"
+        kernel = getattr(simkernel, name)
+
+        def leaky(*args):
+            epochs, wasted, *rest = kernel(*args)
+            return (epochs, wasted + 1, *rest)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            mp.setattr(simkernel, name, leaky)
+            with pytest.raises(RuntimeError, match="energy not conserved"):
+                simulate_path(np.array([0.5, 2.0]), ThresholdUnitBattery(0.0),
+                              1, 3.0)
+            with pytest.raises(RuntimeError, match="energy not conserved"):
+                cli_main(["simulate", "--policy", "greedy", "--battery", "1",
+                          "--horizon", "50", "--out",
+                          str(tmp_path / f"{backend}.csv")])
+
+
+@pytest.mark.skipif(simkernel.BACKEND != "c", reason="C loops not built")
+@pytest.mark.parametrize("loop,params", [
+    ("uniform_path", (3, 1.0)),
+    ("adaptive_path", (3, 2.0, 1.0, 0.5)),
+    ("unit_renewal_path", (0.0,)),
+], ids=["uniform", "adaptive", "renewal"])
+def test_short_epoch_buffer_is_a_bug_not_a_crash(loop, params):
+    # Each C loop stops at the room it is given, says so, and writes
+    # nothing past it; _c_walk turns that into a RuntimeError.
+    arrivals = np.arange(1, 50) - 0.5
+    fn = getattr(simkernel._LOOPS, loop)
+    out = np.full(8, -7.0)
+    counts = (ctypes.c_int64 * 5)()
+    assert fn(arrivals.ctypes.data, arrivals.size, 50.0, *params,
+              out.ctypes.data, 3, counts) == -1
+    assert np.all(out[:3] > 0) and np.all(out[3:] == -7.0)
+    with pytest.raises(RuntimeError, match="more than 3 epochs"):
+        simkernel._c_walk(fn, 3, arrivals, 50.0, *params)
+
+
+@pytest.mark.parametrize("arrivals,policy,capacity", [
+    ([0.5, 5.0, 1.5], BestEffortUniform(1.0), None),
+    ([2.0, 0.5, 1.5], ThresholdUnitBattery(0.5), 1),
+    ([0.5, np.nan, 1.5], EnergyAwareAdaptive(1.0), 3),
+    ([0.5, 1.5, np.inf], BestEffortUniform(1.0), 3),
+    ([[0.5, 1.5]], AdaptiveUnitBattery(0.0), 1),
+], ids=["unsorted-uniform", "unsorted-threshold", "nan", "inf", "2-d"])
+def test_bad_arrivals_are_usage_errors(arrivals, policy, capacity):
+    # The kernels walk the arrivals in order and trust what they read.
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        simulate_path(np.array(arrivals), policy, capacity, 3.0)
+    # Ties are fine.
+    simulate_path(np.array([0.5, 0.5, 1.5]), policy, capacity, 3.0)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_loader_builds_once_and_falls_back(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert simkernel._load_loops(simkernel._SOURCE, str(cache)) is not None
+    built = list(cache.iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_loops-")
+    # A cache hit compiles nothing.
+    monkeypatch.setattr(subprocess, "run", None)
+    assert simkernel._load_loops(simkernel._SOURCE, str(cache)) is not None
+    monkeypatch.undo()
+    # A failed build returns None and leaves no library, whole or partial.
+    broken = tmp_path / "_loops.c"
+    broken.write_text("int uniform_path(void) { return }\n")
+    assert simkernel._load_loops(str(broken), str(cache)) is None
+    assert list(cache.iterdir()) == built
+    # So do an unwritable cache and a PATH without a compiler.
+    assert simkernel._load_loops(simkernel._SOURCE,
+                                 str(built[0] / "sub")) is None
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert simkernel._load_loops(simkernel._SOURCE, str(cache)) is None
+
+
+@pytest.mark.skipif(simkernel.BACKEND != "c", reason="C loops not built")
+def test_cached_backend_loads_without_subprocess_or_hashlib():
+    # Once built, importing the kernel spawns nothing and loads neither
+    # subprocess nor hashlib (which pulls in OpenSSL).
+    code = ("import sys; from aoisim import simkernel; "
+            "print(simkernel.BACKEND, 'subprocess' in sys.modules, "
+            "'hashlib' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(simkernel.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [simkernel.BACKEND, "False", "False"]
 
 
 @pytest.mark.parametrize("flags,capacity,policy", [
