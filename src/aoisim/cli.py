@@ -50,7 +50,7 @@ from .runner import (
     unit_beta_objective,
     unit_uniform_period_objective,
 )
-from .simkernel import MAX_HORIZON, SimConfig, _unit_gammas, simulate_path
+from .simkernel import SimConfig, _check_horizon, _unit_gammas, simulate_path
 
 DEFAULT_SEED = 1
 
@@ -310,8 +310,7 @@ def cmd_reproduce(args) -> int:
     horizon = preset_horizon if args.horizon is None else args.horizon
     paths = preset_paths if args.paths is None else args.paths
     # Checked before the checkpoints are spaced out over (0, horizon].
-    if not 0.0 < horizon <= MAX_HORIZON:
-        raise ConfigError(f"horizon must lie in (0, {MAX_HORIZON:g}]")
+    _check_horizon(None, horizon)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     if args.figure == 2:

@@ -8,19 +8,17 @@ in ``__pycache__`` and called through ctypes; ``BACKEND`` says "c". With
 no compiler, or when the build or load fails, ``BACKEND`` is "python" and
 the same loops run in plain Python, reading the arrivals and writing the
 epochs through memoryviews of the same arrays, which hand out and take
-Python floats, so that no numpy scalar is boxed per access. There the
-uniform grid with an unbounded or a unit battery runs as a numpy kernel
-over fixed blocks of grid epochs instead, which carries only the battery
-level from one block to the next, so the result does not depend on the
-block size. Every backend computes the same float
-operations in the same order, so results are bit-identical whichever
-code runs; the tests compare each with ``tests/reference_sim.py``.
+Python floats, so that no numpy scalar is boxed per access. Both backends
+compute the same float operations in the same order, so results are
+bit-identical whichever runs; the tests compare each with
+``tests/reference_sim.py``.
 
-The kernels walk the epochs up to T and return (epochs, wasted,
-infeasible, level, seen), with the level after the last epoch and the
-arrivals consumed. ``simulate_path`` settles the battery once for all:
-it lands the arrivals left up to T, clamps the level to the capacity,
-counts the overflow as wasted, and checks energy conservation.
+On either backend, each loop writes the update epochs into the buffer
+that ``_walk`` passes in, and returns (updates, wasted, infeasible, level, seen),
+with the level after the last epoch and the arrivals consumed.
+``simulate_path`` settles the battery once for all: it lands the arrivals
+left up to T, clamps the level to the capacity, counts the overflow as
+wasted, and checks energy conservation.
 
 Conventions baked in here:
 
@@ -66,19 +64,11 @@ MAX_HORIZON = 1.0e7  # keeps absolute epoch rounding below ~1e-8
 # holds in memory (80 MB of float64): every horizon at unit rate fits.
 MAX_EXPECTED_ARRIVALS = 1.0e7
 _MAX_GRID_EPOCHS = 1.0e8
-# Grid epochs per block of _uniform_grid. It bounds the kernel's transient
-# memory (about ten int64/float64 temporaries per epoch, some 320 kB per
-# block) whatever the horizon. In single benchmark runs of the optimizer
-# (T=2500, periods down to 0.1), 65536-epoch blocks left peak resident
-# memory 0.5 MB above 4096-epoch blocks, and 1024-epoch blocks saved no
-# memory but ran a quarter slower.
-_GRID_BLOCK = 4096
 
-def _uniform_path(arrivals, horizon, cap, period):
+
+def _uniform_path(arrivals, horizon, cap, period, epochs):
     """Best-effort uniform grid; cap < 0 means unbounded."""
     n_arr = arrivals.shape[0]
-    grid = int(horizon / period) + 2
-    epochs = np.empty(min(grid, n_arr + 1), np.float64)
     arr = memoryview(arrivals)
     out = memoryview(epochs)
     level = 0
@@ -104,63 +94,16 @@ def _uniform_path(arrivals, horizon, cap, period):
         else:
             infeasible += 1
         n += 1
-    return epochs[:n_up], wasted, infeasible, level, idx
+    return n_up, wasted, infeasible, level, idx
 
 
-def _uniform_grid(arrivals, horizon, cap, period):
-    """Best-effort uniform grid for an unbounded (cap < 0) or unit (cap == 1)
-    battery, in numpy, block by block; same results as _uniform_path.
-
-    An epoch sees the arrivals strictly before it (left limit). With B=1
-    the battery is empty after every epoch, so an epoch is feasible iff its
-    window holds an arrival. With B=inf the level after epoch n obeys the
-    Lindley recursion L_n = max(L_{n-1} + A_n - 1, 0), solved in closed
-    form by L_n = W_n - min(0, min_{i<=n} W_i) for the walk
-    W_n = L_0 + sum_{i<=n} (A_i - 1); epoch n is feasible iff
-    L_{n-1} + A_n >= 1.
-    """
-    last = int(horizon / period)  # largest n with n * period <= horizon
-    while (last + 1) * period <= horizon:
-        last += 1
-    while last > 0 and last * period > horizon:
-        last -= 1
-    parts = []
-    level = 0
-    seen = 0
-    wasted = 0
-    infeasible = 0
-    for lo in range(1, last + 1, _GRID_BLOCK):
-        s = np.arange(lo, min(lo + _GRID_BLOCK, last + 1),
-                      dtype=np.float64) * period
-        idx = np.searchsorted(arrivals, s, side="left")
-        counts = np.diff(idx, prepend=seen)
-        if cap == 1:
-            feasible = counts >= 1
-            wasted += int(idx[-1] - seen) - int(np.count_nonzero(feasible))
-        else:
-            walk = level + np.cumsum(counts - 1)
-            after = walk - np.minimum(np.minimum.accumulate(walk), 0)
-            before = np.concatenate(([level], after[:-1])) + counts
-            feasible = before >= 1
-            level = int(after[-1])
-        seen = int(idx[-1])
-        epochs = s[feasible]
-        parts.append(epochs)
-        infeasible += len(s) - len(epochs)
-    epochs = np.concatenate(parts) if parts else np.empty(0, np.float64)
-    return epochs, wasted, infeasible, level, seen
-
-
-def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
+def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high, epochs):
     """Recursive schedule with the delay picked by 2*level vs cap.
 
     Covers the finite-battery adaptive policy (cap >= 2) and its B=1
     variant (cap = 1, where the middle branch is unreachable).
     """
     n_arr = arrivals.shape[0]
-    d_min = min(d_low, min(d_mid, d_high))
-    grid = int(horizon / d_min) + 4
-    epochs = np.empty(min(grid, n_arr + 1), np.float64)
     arr = memoryview(arrivals)
     out = memoryview(epochs)
     level = 0
@@ -193,14 +136,13 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high):
             n_up += 1
         else:
             infeasible += 1
-    return epochs[:n_up], wasted, infeasible, level, idx
+    return n_up, wasted, infeasible, level, idx
 
 
-def _unit_renewal_path(arrivals, horizon, tau0):
+def _unit_renewal_path(arrivals, horizon, tau0, epochs):
     """B=1 threshold renewals: each update consumes the first arrival after
     the previous update; later arrivals before the update are wasted."""
     n_arr = arrivals.shape[0]
-    epochs = np.empty(n_arr + 1, np.float64)
     arr = memoryview(arrivals)
     out = memoryview(epochs)
     idx = 0
@@ -220,7 +162,7 @@ def _unit_renewal_path(arrivals, horizon, tau0):
         out[n_up] = s_next
         n_up += 1
         s = s_next
-    return epochs[:n_up], wasted, 0, 0, idx
+    return n_up, wasted, 0, 0, idx
 
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_loops.c")
@@ -286,16 +228,36 @@ _LOOPS = _load_loops()
 BACKEND = "python" if _LOOPS is None else "c"
 
 
-def _c_walk(loop, room, arrivals, *params):
-    """Run one C loop with room for `room` epochs; same result as the
-    Python loop of the same name."""
+def _walk(loop, room, arrivals, *params):
+    """Run `loop` with room for `room` epochs, as its C twin (its name
+    without the underscore) on the "c" backend. Returns (epochs, wasted,
+    infeasible, level, seen); a loop that needs more room is a sizing
+    bug and raises RuntimeError."""
     epochs = np.empty(room, np.float64)
-    counts = (ctypes.c_int64 * 5)()
-    if loop(arrivals.ctypes.data, arrivals.size, *params, epochs.ctypes.data,
-            room, counts):
+    if BACKEND == "c":
+        counts = (ctypes.c_int64 * 5)()
+        full = getattr(_LOOPS, loop.__name__[1:])(
+            arrivals.ctypes.data, arrivals.size, *params, epochs.ctypes.data,
+            room, counts)
+    else:
+        try:
+            counts, full = loop(arrivals, *params, epochs), 0
+        except IndexError:  # the memoryview refused a write past `room`
+            full = -1
+    if full:
         raise RuntimeError(f"{loop.__name__} needs more than {room} epochs")
     n_up, wasted, infeasible, level, seen = counts
     return epochs[:n_up], wasted, infeasible, level, seen
+
+
+def _check_horizon(policy, horizon):
+    """Raise ConfigError unless 0 < horizon <= MAX_HORIZON (NaN fails too)
+    and a uniform grid holds at most _MAX_GRID_EPOCHS epochs up to it."""
+    if not 0.0 < horizon <= MAX_HORIZON:
+        raise ConfigError(f"horizon must lie in (0, {MAX_HORIZON:g}]")
+    if (isinstance(policy, BestEffortUniform)
+            and horizon / policy.period > _MAX_GRID_EPOCHS):
+        raise ConfigError("uniform grid too dense for this horizon")
 
 
 @dataclass(frozen=True)
@@ -313,18 +275,13 @@ class SimConfig:
         validate_policy(self.policy, self.capacity)
         if self.capacity is not None and self.capacity < 1:
             raise ConfigError("capacity must be a positive integer or None")
-        if not 0.0 < self.horizon <= MAX_HORIZON:
-            raise ConfigError(
-                f"horizon must lie in (0, {MAX_HORIZON:g}]")
+        _check_horizon(self.policy, self.horizon)
         if not 0.0 < self.rate < math.inf:  # NaN fails too
             raise ConfigError("rate must be positive and finite")
         if self.rate * self.horizon > MAX_EXPECTED_ARRIVALS:
             raise ConfigError(
                 f"rate * horizon must not exceed {MAX_EXPECTED_ARRIVALS:g} "
                 "expected arrivals")
-        if isinstance(self.policy, BestEffortUniform):
-            if self.horizon / self.policy.period > _MAX_GRID_EPOCHS:
-                raise ConfigError("uniform grid too dense for this horizon")
 
 
 @dataclass
@@ -346,53 +303,42 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
     """Run one policy over a sorted, materialized arrival array.
 
     Returns (epochs, wasted, infeasible, final_level). Raises ConfigError
-    unless the arrivals are a 1-d array of finite, non-decreasing times;
-    check=False skips that scan for arrivals sorted by construction, as
+    unless the horizon passes the bounds SimConfig.validate sets and the
+    arrivals are a 1-d array of finite, non-decreasing times; check=False
+    skips the arrivals scan for arrivals sorted by construction, as
     sample_path output is. Exposed separately from run_path so tests can
     drive hand-crafted arrival sequences.
     """
     validate_policy(policy, capacity)
+    # Python scalars keep numpy scalar arithmetic out of the plain-Python
+    # loops; float() of a numpy float64 is exact, so results do not change.
+    horizon = float(horizon)
+    _check_horizon(policy, horizon)
     arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
     if check and (arrivals.ndim != 1 or not np.isfinite(arrivals).all()
                   or (arrivals[1:] < arrivals[:-1]).any()):
         raise ConfigError(
             "arrivals must be a 1-d array of finite, non-decreasing times")
-    # Python scalars keep numpy scalar arithmetic out of the plain-Python
-    # loops; float() of a numpy float64 is exact, so results do not change.
-    horizon = float(horizon)
     cap = -1 if capacity is None else int(capacity)
-    # The C loops get the epoch buffers the Python loops allocate: no more
-    # updates than arrivals, nor than the schedule holds up to T.
-    compiled = BACKEND == "c"
+    # Room for every update: no more than the arrivals, nor than the
+    # schedule holds up to T.
     room = arrivals.size + 1
     if isinstance(policy, BestEffortUniform):
         period = float(policy.period)
-        if compiled:
-            walked = _c_walk(_LOOPS.uniform_path,
-                             min(int(horizon / period) + 2, room),
-                             arrivals, horizon, cap, period)
-        else:
-            kernel = _uniform_grid if cap < 0 or cap == 1 else _uniform_path
-            walked = kernel(arrivals, horizon, cap, period)
+        walked = _walk(_uniform_path, min(int(horizon / period) + 2, room),
+                       arrivals, horizon, cap, period)
     elif isinstance(policy, ThresholdUnitBattery):
-        tau0 = float(policy.tau0)
-        if compiled:
-            walked = _c_walk(_LOOPS.unit_renewal_path, room, arrivals,
-                             horizon, tau0)
-        else:
-            walked = _unit_renewal_path(arrivals, horizon, tau0)
+        walked = _walk(_unit_renewal_path, room, arrivals, horizon,
+                       float(policy.tau0))
     elif isinstance(policy, (EnergyAwareAdaptive, AdaptiveUnitBattery)):
         # Delays for levels below, at and above half the battery; the B=1
         # variant runs at cap == 1, which validate_policy enforces.
         beta = float(policy.beta if isinstance(policy, AdaptiveUnitBattery)
                      else adaptive_beta(policy.k, cap))
         delays = (1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta))
-        if compiled:
-            walked = _c_walk(_LOOPS.adaptive_path,
-                             min(int(horizon / min(delays)) + 4, room),
-                             arrivals, horizon, cap, *delays)
-        else:
-            walked = _adaptive_path(arrivals, horizon, cap, *delays)
+        walked = _walk(_adaptive_path,
+                       min(int(horizon / min(delays)) + 4, room),
+                       arrivals, horizon, cap, *delays)
     else:
         raise ConfigError(f"unknown policy variant {type(policy).__name__}")
     epochs, wasted, infeasible, level, seen = walked

@@ -25,12 +25,7 @@ from aoisim import (
 )
 from aoisim import simkernel
 from aoisim.cli import main as cli_main
-from aoisim.simkernel import (
-    _GRID_BLOCK,
-    _uniform_grid,
-    _uniform_path,
-    _unit_gammas,
-)
+from aoisim.simkernel import _unit_gammas
 from reference_sim import integrate_trace, reference_on_arrivals, reference_run
 
 # Every backend this machine has: the C loops when they were built, and
@@ -139,7 +134,7 @@ def test_run_path_deterministic():
 @pytest.mark.parametrize("policy,capacity,horizon", [
     *(pytest.param(p, c, 300.0, id=f"policy{i}-{c}")
       for i, (p, c) in enumerate(ALL_POLICIES)),
-    # 10 000 grid epochs: the numpy grid kernel runs over three blocks
+    # 10 000 grid epochs, most of them infeasible at B=1
     pytest.param(BestEffortUniform(0.1), 1, 1000.0, id="grid-blocks-1"),
     pytest.param(BestEffortUniform(0.1), None, 1000.0, id="grid-blocks-None"),
     pytest.param(BestEffortUniform(1.0), None, 300.7, id="T300.7-None"),
@@ -158,14 +153,13 @@ def test_kernel_matches_reference(policy, capacity, horizon, seed):
 
 @st.composite
 def _grid_arrivals(draw):
-    """(period, horizon, arrivals) for the uniform grid: the grid may end on
-    a block edge or hold no epoch at all, the horizon may sit on, just
-    below or between grid epochs, and arrivals may be absent, tie exactly
-    with grid epochs n * period, or come in dense runs that fill an
-    unbounded battery."""
+    """(period, horizon, arrivals) for the uniform grid: the grid may run
+    to thousands of epochs or hold none at all, the horizon may sit on,
+    just below or between grid epochs, and arrivals may be absent, tie
+    exactly with grid epochs n * period, or come in dense runs that fill
+    an unbounded battery."""
     period = draw(st.sampled_from([0.1, 0.25, 0.43, 1.0, 3.0]))
-    n_last = draw(st.sampled_from([0, 1, _GRID_BLOCK - 1, _GRID_BLOCK,
-                                   _GRID_BLOCK + 1, 2 * _GRID_BLOCK])
+    n_last = draw(st.sampled_from([0, 1, 4095, 4096, 4097, 8192])
                   | st.integers(0, 300))
     horizon = draw(st.sampled_from([
         n_last * period,
@@ -181,28 +175,11 @@ def _grid_arrivals(draw):
     return period, horizon, arrivals[arrivals <= horizon]
 
 
-@pytest.mark.parametrize("capacity", [None, 1])
-@given(case=_grid_arrivals())
-# T / period misjudges the last grid epoch both ways: 11 * 0.43 / 0.43
-# rounds below 11, and T just under 9 * 0.43 gives T / 0.43 = 9.0.
-@example(case=(0.43, 11 * 0.43, np.array([0.43, 4.0, 4.73])))
-@example(case=(0.43, float(np.nextafter(9 * 0.43, 0.0)), np.array([3.0])))
-def test_uniform_grid_kernel_matches_loop(capacity, case):
-    period, horizon, arrivals = case
-    cap = -1 if capacity is None else capacity
-    grid = _uniform_grid(arrivals, horizon, cap, period)
-    loop = _uniform_path(arrivals, horizon, cap, period)
-    assert np.array_equal(grid[0], loop[0])
-    assert grid[1:] == loop[1:]
-    # Only the arrivals at or before T land (4.73 lies past 11 * 0.43).
-    epochs, wasted, _, level = simulate_path(
-        arrivals, BestEffortUniform(period), capacity, horizon)
-    landed = np.searchsorted(arrivals, horizon, side="right")
-    assert landed == level + len(epochs) + wasted
-
-
 @pytest.mark.parametrize("capacity", [None, 1, 2, 5, 30])
 @given(case=_grid_arrivals())
+# T / period misjudges the last grid epoch both ways: 11 * 0.43 / 0.43
+# rounds below 11, and T just under 9 * 0.43 gives T / 0.43 = 9.0. Only
+# the arrivals at or before T land (4.73 lies past 11 * 0.43).
 @example(case=(0.43, 11 * 0.43, np.array([0.43, 4.0, 4.73])))
 @example(case=(0.43, float(np.nextafter(9 * 0.43, 0.0)), np.array([3.0])))
 def test_uniform_matches_reference(capacity, case):
@@ -273,18 +250,17 @@ def test_arrivals_after_horizon_never_land(policy, capacity):
 def test_broken_kernel_is_a_bug_not_a_usage_error(tmp_path):
     # A kernel that miscounts waste breaks energy conservation, which
     # simulate_path checks once for every policy: a RuntimeError, never
-    # a ConfigError that the CLI would turn into exit 2. On the C backend
-    # the renewal loop is reached through _c_walk.
-    for backend in BACKENDS:
-        name = "_c_walk" if backend == "c" else "_unit_renewal_path"
-        kernel = getattr(simkernel, name)
+    # a ConfigError that the CLI would turn into exit 2. Every loop, on
+    # every backend, is reached through _walk.
+    walk = simkernel._walk
 
-        def leaky(*args):
-            epochs, wasted, *rest = kernel(*args)
-            return (epochs, wasted + 1, *rest)
+    def leaky(*args):
+        epochs, wasted, *rest = walk(*args)
+        return (epochs, wasted + 1, *rest)
+    for backend in BACKENDS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simkernel, "BACKEND", backend)
-            mp.setattr(simkernel, name, leaky)
+            mp.setattr(simkernel, "_walk", leaky)
             with pytest.raises(RuntimeError, match="energy not conserved"):
                 simulate_path(np.array([0.5, 2.0]), ThresholdUnitBattery(0.0),
                               1, 3.0)
@@ -294,7 +270,6 @@ def test_broken_kernel_is_a_bug_not_a_usage_error(tmp_path):
                           str(tmp_path / f"{backend}.csv")])
 
 
-@pytest.mark.skipif(simkernel.BACKEND != "c", reason="C loops not built")
 @pytest.mark.parametrize("loop,params", [
     ("uniform_path", (3, 1.0)),
     ("adaptive_path", (3, 2.0, 1.0, 0.5)),
@@ -302,16 +277,45 @@ def test_broken_kernel_is_a_bug_not_a_usage_error(tmp_path):
 ], ids=["uniform", "adaptive", "renewal"])
 def test_short_epoch_buffer_is_a_bug_not_a_crash(loop, params):
     # Each C loop stops at the room it is given, says so, and writes
-    # nothing past it; _c_walk turns that into a RuntimeError.
+    # nothing past it; on every backend _walk turns a loop that runs out
+    # of room into a RuntimeError.
     arrivals = np.arange(1, 50) - 0.5
-    fn = getattr(simkernel._LOOPS, loop)
-    out = np.full(8, -7.0)
-    counts = (ctypes.c_int64 * 5)()
-    assert fn(arrivals.ctypes.data, arrivals.size, 50.0, *params,
-              out.ctypes.data, 3, counts) == -1
-    assert np.all(out[:3] > 0) and np.all(out[3:] == -7.0)
-    with pytest.raises(RuntimeError, match="more than 3 epochs"):
-        simkernel._c_walk(fn, 3, arrivals, 50.0, *params)
+    if simkernel.BACKEND == "c":
+        fn = getattr(simkernel._LOOPS, loop)
+        out = np.full(8, -7.0)
+        counts = (ctypes.c_int64 * 5)()
+        assert fn(arrivals.ctypes.data, arrivals.size, 50.0, *params,
+                  out.ctypes.data, 3, counts) == -1
+        assert np.all(out[:3] > 0) and np.all(out[3:] == -7.0)
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            with pytest.raises(RuntimeError, match="more than 3 epochs"):
+                simkernel._walk(getattr(simkernel, f"_{loop}"), 3, arrivals,
+                                50.0, *params)
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0,
+                                     2e7])
+def test_bad_horizon_is_a_usage_error(horizon, monkeypatch):
+    # simulate_path bounds its horizon as SimConfig.validate does, with or
+    # without the arrivals scan, before any loop runs: no loop stops at a
+    # NaN horizon, which every comparison fails.
+    monkeypatch.setattr(simkernel, "_walk", None)
+    for policy, capacity in ALL_POLICIES:
+        for check in (True, False):
+            with pytest.raises(ConfigError, match="horizon must lie in"):
+                simulate_path(np.array([0.5, 1.5, 2.5]), policy, capacity,
+                              horizon, check=check)
+
+
+def test_too_dense_grid_is_a_usage_error(monkeypatch):
+    # 1e13 grid epochs up to T=1e7: refused before the loop would walk them.
+    monkeypatch.setattr(simkernel, "_walk", None)
+    for capacity in (None, 1, 3):
+        with pytest.raises(ConfigError, match="too dense"):
+            simulate_path(np.array([0.5]), BestEffortUniform(1e-6), capacity,
+                          1e7, check=False)
 
 
 @pytest.mark.parametrize("arrivals,policy,capacity", [
