@@ -19,7 +19,8 @@ class UpdateLog:
     """Ordered actual update epochs S_1 < S_2 < ... of one sample path.
 
     The time-0 update is implicit (S_0 = 0) and never stored. The log is
-    frozen, so its delays are computed once and shared by every reader.
+    frozen, so its delays and their squares are computed once and shared
+    by every reader.
     """
 
     epochs: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -36,9 +37,24 @@ class UpdateLog:
     @cached_property
     def delays(self) -> np.ndarray:
         """X_n = S_n - S_{n-1} with S_0 = 0 (read-only: readers share it)."""
-        delays = np.diff(self.epochs, prepend=0.0)
+        e = np.asarray(self.epochs, dtype=np.float64)
+        delays = np.empty(len(e))
+        if len(e):
+            # The subtraction np.diff(e, prepend=0.0) does, without its
+            # concatenation.
+            delays[0] = e[0]
+            np.subtract(e[1:], e[:-1], out=delays[1:])
         delays.flags.writeable = False
         return delays
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """X_n ** 2, formed once for the reward, the series and the
+        moments (read-only: readers share it)."""
+        d = self.delays
+        squares = d * d
+        squares.flags.writeable = False
+        return squares
 
     def validate(self) -> None:
         d = self.delays
@@ -66,10 +82,10 @@ def accumulate_reward(log: UpdateLog, horizon: float) -> AoiTally:
     epochs = log.epochs
     if len(epochs) and epochs[-1] > horizon:
         raise ValueError("log contains an epoch beyond the horizon")
-    delays = log.delays
     last = epochs[-1] if len(epochs) else 0.0
-    # np.sum uses pairwise accumulation, which keeps rounding in check for
-    # logs far beyond 1e6 delays.
-    reward = 0.5 * (float(np.sum(delays * delays)) + (horizon - last) ** 2)
+    # np.add.reduce (np.sum) uses pairwise accumulation, which keeps
+    # rounding in check for logs far beyond 1e6 delays.
+    sum_sq = float(np.add.reduce(log.squares))
+    reward = 0.5 * (sum_sq + (horizon - last) ** 2)
     return AoiTally(reward=reward, horizon=horizon, updates=len(epochs))
 

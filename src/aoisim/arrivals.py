@@ -5,7 +5,16 @@ Arrival instants are generated by inverse-CDF exponential sampling,
 counter-based generator and summed left to right. The pair (seed, rate)
 pins the entire arrival sequence bit-for-bit: the uniforms are drawn in
 blocks, but the running sum carries from one block to the next, so the
-instants are those of one uniform and one addition per arrival.
+instants are those of one uniform and one addition per arrival. Each
+path is filled into one array sized from the expected count, which grows
+only when that estimate falls short.
+
+Each thread keeps one Philox generator and resets it to the start of a
+path's stream, key ``seed`` and counter 0 with an empty buffer, before
+drawing that path. Building a generator costs far more than resetting
+one, mostly for the OS entropy that an explicit key then overrides; the
+reset stream is bit-identical to a freshly built
+``np.random.Generator(np.random.Philox(key=seed))``.
 
 Ensembles derive one independent stream per sample path via
 
@@ -15,12 +24,15 @@ Ensembles derive one independent stream per sample path via
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 _MAX_BLOCK = 1 << 20  # uniforms drawn at once
+
+_local = threading.local()
 
 
 def derive_seed(base_seed: int, path_index: int) -> int:
@@ -30,23 +42,48 @@ def derive_seed(base_seed: int, path_index: int) -> int:
     return (base_seed & _MASK) ^ ((path_index * SEED_STRIDE) & _MASK)
 
 
+def _stream(seed: int) -> np.random.Generator:
+    """This thread's generator, reset to the start of seed's stream."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [int(seed) & _MASK, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,  # empty: refill first
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
+
+
+def _expected(count: float) -> int:
+    """Room for `count` expected arrivals: six standard deviations over."""
+    return int(count + 6.0 * math.sqrt(count + 1.0)) + 64
+
+
 def sample_path(seed: int, horizon: float, rate: float = 1.0) -> np.ndarray:
     """All arrival instants in (0, horizon] of the stream keyed by ``seed``."""
     if not 0.0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK))
-    blocks = []
+    gen = _stream(seed)
+    path = np.empty(0)
+    filled = 0
     tail = 0.0  # last generated instant
     while tail <= horizon:
-        # Size the block from the expected remaining count.
-        expect = (horizon - tail) * rate
-        n = min(int(expect + 6.0 * math.sqrt(expect + 1.0)) + 64, _MAX_BLOCK)
-        inst = -np.log1p(-gen.random(n)) / rate
-        inst[0] += tail
-        np.cumsum(inst, out=inst)
-        tail = float(inst[-1])
-        blocks.append(inst)
-    if not blocks:  # horizon below 0 (or NaN)
-        return np.empty(0)
-    path = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return path[:np.searchsorted(path, horizon, side="right")]
+        if filled == len(path):  # the estimate fell short: grow
+            grown = np.empty(filled + _expected((horizon - tail) * rate))
+            grown[:filled] = path
+            path = grown
+        # Each block is transformed in place, one ufunc at a time, with
+        # the same operations as -log1p(-u) / rate.
+        block = path[filled:filled + _MAX_BLOCK]
+        gen.random(out=block)
+        np.negative(block, out=block)
+        np.log1p(block, out=block)
+        np.negative(block, out=block)
+        np.divide(block, rate, out=block)
+        block[0] += tail
+        block.cumsum(out=block)
+        tail = float(block[-1])
+        filled += len(block)
+    return path[:path[:filled].searchsorted(horizon, side="right")]

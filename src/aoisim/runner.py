@@ -6,7 +6,10 @@ the stream derive_seed(s, i); paths are aggregated in seed order with numpy
 (pairwise) reductions, so repeated calls are bit-identical. Optimization
 and policy comparisons reuse one fixed seed set across candidates (common
 random numbers), which makes simulated objectives deterministic functions
-of their parameter.
+of their parameter. A policy comparison draws each path once and runs
+every policy on it. Each path's arrivals come from the thread's one Philox
+generator, reset to (key=seed, counter 0) for the path, which gives the
+same bits as a freshly built generator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analytics import AOI_LOWER_BOUND, adaptive_gap_bound, optimal_threshold
-from .arrivals import derive_seed
+from .arrivals import derive_seed, sample_path
 from .aoi_metrics import UpdateLog
 from .policies import (
     AdaptiveUnitBattery,
@@ -28,7 +31,7 @@ from .policies import (
     adaptive_beta,
 )
 from .search import golden_section
-from .simkernel import SimConfig, run_path
+from .simkernel import SimConfig, SimSummary, run_path
 
 # Numerically optimized parameters used by the three-policy B=1 comparison.
 DEFAULT_B1_UNIFORM_PERIOD = 0.43
@@ -57,10 +60,12 @@ class EnsembleResult:
 
 def running_averages(log: UpdateLog, checkpoints: np.ndarray) -> np.ndarray:
     """Running time-average age R(t)/t of one path at each checkpoint."""
-    d = log.delays
-    csum = np.concatenate(([0.0], np.cumsum(d * d)))
+    squares = log.squares
+    csum = np.empty(len(squares) + 1)
+    csum[0] = 0.0
+    squares.cumsum(out=csum[1:])
     if len(log.epochs):
-        j = np.searchsorted(log.epochs, checkpoints, side="right")
+        j = log.epochs.searchsorted(checkpoints, side="right")
         last = np.where(j > 0, log.epochs[np.maximum(j - 1, 0)], 0.0)
     else:
         j = np.zeros(len(checkpoints), dtype=np.intp)
@@ -80,56 +85,96 @@ def uniform_idle_runs(delays: np.ndarray, period: float) -> np.ndarray:
     return runs
 
 
+class _Records:
+    """One policy's per-path records, reduced in seed order."""
+
+    def __init__(self, n_paths: int, ts: np.ndarray, idle_period=None):
+        self.ts = ts
+        self.avgs = np.empty(n_paths)
+        self.series = np.empty((n_paths, len(ts))) if len(ts) else None
+        self.sum_x = 0.0
+        self.sum_x2 = 0.0
+        self.n_delays = 0
+        self.idle_period = idle_period
+        self.idle_hist = np.zeros(1, dtype=np.int64)
+
+    def add(self, i: int, summary: SimSummary, log: UpdateLog) -> None:
+        self.avgs[i] = summary.time_avg_aoi
+        if self.series is not None:
+            self.series[i] = running_averages(log, self.ts)
+        d = log.delays
+        self.sum_x += float(np.add.reduce(d))
+        self.sum_x2 += float(np.add.reduce(log.squares))
+        self.n_delays += len(d)
+        if self.idle_period is not None:
+            binned = np.bincount(uniform_idle_runs(d, self.idle_period),
+                                 minlength=len(self.idle_hist))
+            binned[:len(self.idle_hist)] += self.idle_hist
+            self.idle_hist = binned
+
+    def result(self) -> EnsembleResult:
+        n_paths, ts, series = len(self.avgs), self.ts, self.series
+        n_delays = self.n_delays
+        stderr = (float(np.std(self.avgs, ddof=1) / np.sqrt(n_paths))
+                  if n_paths > 1 else 0.0)
+        return EnsembleResult(
+            n_paths=n_paths,
+            mean_avg_aoi=float(np.mean(self.avgs)),
+            stderr=stderr,
+            checkpoints=ts,
+            checkpoint_means=(np.mean(series, axis=0) if series is not None
+                              else np.empty(0)),
+            checkpoint_stderrs=(np.std(series, axis=0, ddof=1)
+                                / np.sqrt(n_paths)
+                                if series is not None and n_paths > 1
+                                else np.zeros(len(ts))),
+            delay_mean=(self.sum_x / n_delays) if n_delays else float("nan"),
+            delay_second_moment=((self.sum_x2 / n_delays) if n_delays
+                                 else float("nan")),
+            n_delays=n_delays,
+            idle_run_counts=(self.idle_hist if self.idle_period is not None
+                             else None),
+        )
+
+
+def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
+                  collect_idle_runs: bool = False) -> list[EnsembleResult]:
+    """Run every configuration on paths 0..n-1 of their common seed.
+
+    The configurations share seed, horizon and rate, and differ only in
+    policy and capacity: path i's arrivals are drawn once and every
+    policy runs on them.
+    """
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1")
+    base = configs[0]
+    for cfg in configs:
+        cfg.validate()
+    ts = np.asarray(checkpoints, dtype=np.float64)
+    if not np.all((ts > 0) & (ts <= base.horizon)):  # NaN fails too
+        raise ConfigError("checkpoints must lie in (0, horizon]")
+    if collect_idle_runs and not all(isinstance(cfg.policy, BestEffortUniform)
+                                     for cfg in configs):
+        raise ConfigError("idle-run collection applies to the uniform policy")
+
+    records = [_Records(n_paths, ts, cfg.policy.period if collect_idle_runs
+                        else None) for cfg in configs]
+    for i in range(n_paths):
+        seed = derive_seed(base.seed, i)
+        arrivals = sample_path(seed, base.horizon, base.rate)
+        for cfg, rec in zip(configs, records):
+            summary, log = run_path(replace(cfg, seed=seed), arrivals)
+            rec.add(i, summary, log)
+        # The next path is drawn without this one's arrays alive.
+        del arrivals, log
+    return [rec.result() for rec in records]
+
+
 def run_ensemble(config: SimConfig, n_paths: int, checkpoints=(),
                  collect_idle_runs: bool = False) -> EnsembleResult:
     """Run n paths on derived seeds and aggregate in fixed seed order."""
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1")
-    config.validate()
-    ts = np.asarray(checkpoints, dtype=np.float64)
-    if not np.all((ts > 0) & (ts <= config.horizon)):  # NaN fails too
-        raise ConfigError("checkpoints must lie in (0, horizon]")
-    if collect_idle_runs and not isinstance(config.policy, BestEffortUniform):
-        raise ConfigError("idle-run collection applies to the uniform policy")
-
-    avgs = np.empty(n_paths)
-    series = np.empty((n_paths, len(ts))) if len(ts) else None
-    sum_x = 0.0
-    sum_x2 = 0.0
-    n_delays = 0
-    idle_hist = np.zeros(1, dtype=np.int64)
-    for i in range(n_paths):
-        cfg = replace(config, seed=derive_seed(config.seed, i))
-        summary, log = run_path(cfg)
-        avgs[i] = summary.time_avg_aoi
-        if series is not None:
-            series[i] = running_averages(log, ts)
-        d = log.delays
-        sum_x += float(np.sum(d))
-        sum_x2 += float(np.sum(d * d))
-        n_delays += len(d)
-        if collect_idle_runs:
-            binned = np.bincount(uniform_idle_runs(d, config.policy.period),
-                                 minlength=len(idle_hist))
-            binned[:len(idle_hist)] += idle_hist
-            idle_hist = binned
-
-    stderr = float(np.std(avgs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return EnsembleResult(
-        n_paths=n_paths,
-        mean_avg_aoi=float(np.mean(avgs)),
-        stderr=stderr,
-        checkpoints=ts,
-        checkpoint_means=(np.mean(series, axis=0) if series is not None
-                          else np.empty(0)),
-        checkpoint_stderrs=(np.std(series, axis=0, ddof=1) / np.sqrt(n_paths)
-                            if series is not None and n_paths > 1
-                            else np.zeros(len(ts))),
-        delay_mean=(sum_x / n_delays) if n_delays else float("nan"),
-        delay_second_moment=(sum_x2 / n_delays) if n_delays else float("nan"),
-        n_delays=n_delays,
-        idle_run_counts=idle_hist if collect_idle_runs else None,
-    )
+    return _run_policies([config], n_paths, checkpoints,
+                         collect_idle_runs)[0]
 
 
 @dataclass
@@ -232,9 +277,6 @@ def compare_unit_battery(horizon: float, n_paths: int, base_seed: int,
         "adaptive": AdaptiveUnitBattery(beta=DEFAULT_B1_BETA),
         "threshold": ThresholdUnitBattery(tau0=optimal_threshold(1e-6)[0]),
     }
-    out = {}
-    for name, policy in policies.items():
-        cfg = SimConfig(policy=policy, capacity=1, horizon=horizon,
-                        seed=base_seed)
-        out[name] = run_ensemble(cfg, n_paths, checkpoints=checkpoints)
-    return out
+    configs = [SimConfig(policy=policy, capacity=1, horizon=horizon,
+                         seed=base_seed) for policy in policies.values()]
+    return dict(zip(policies, _run_policies(configs, n_paths, checkpoints)))

@@ -226,6 +226,17 @@ def _build(cc, source, cache, path):
 _LOOPS = _load_loops()
 # "c" when the loops of _loops.c run, "python" for the fallback loops.
 BACKEND = "python" if _LOOPS is None else "c"
+_NO_BYTES = ctypes.c_char * 0
+
+
+def _address(array):
+    """Address of a contiguous array's first element. Exporting the buffer
+    to ctypes costs a third of ndarray.ctypes.data, but only a writable
+    buffer can be exported."""
+    try:
+        return ctypes.addressof(_NO_BYTES.from_buffer(array))
+    except TypeError:  # read-only
+        return array.ctypes.data
 
 
 def _walk(loop, room, arrivals, *params):
@@ -237,7 +248,7 @@ def _walk(loop, room, arrivals, *params):
     if BACKEND == "c":
         counts = (ctypes.c_int64 * 5)()
         full = getattr(_LOOPS, loop.__name__[1:])(
-            arrivals.ctypes.data, arrivals.size, *params, epochs.ctypes.data,
+            _address(arrivals), arrivals.size, *params, _address(epochs),
             room, counts)
     else:
         try:
@@ -343,7 +354,7 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
         raise ConfigError(f"unknown policy variant {type(policy).__name__}")
     epochs, wasted, infeasible, level, seen = walked
     # The arrivals left up to T land; a full battery loses the overflow.
-    landed = int(np.searchsorted(arrivals, horizon, side="right"))
+    landed = int(arrivals.searchsorted(horizon, side="right"))
     level += landed - seen
     if cap >= 0 and level > cap:
         wasted += level - cap
@@ -362,10 +373,17 @@ def _unit_gammas(arrivals: np.ndarray, epochs: np.ndarray) -> np.ndarray:
     return arrivals[idx] - prev
 
 
-def run_path(config: SimConfig) -> tuple[SimSummary, UpdateLog]:
-    """Simulate one sample path up to the horizon."""
+def run_path(config: SimConfig, arrivals: np.ndarray | None = None
+             ) -> tuple[SimSummary, UpdateLog]:
+    """Simulate one sample path up to the horizon.
+
+    ``arrivals``, when given, must be the path's own arrivals,
+    ``sample_path(config.seed, config.horizon, config.rate)``, drawn once
+    for several policies; by default they are drawn here.
+    """
     config.validate()
-    arrivals = sample_path(config.seed, config.horizon, config.rate)
+    if arrivals is None:
+        arrivals = sample_path(config.seed, config.horizon, config.rate)
     epochs, wasted, infeasible, level = simulate_path(
         arrivals, config.policy, config.capacity, config.horizon,
         check=False)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoisim import UpdateLog, accumulate_reward
@@ -123,3 +123,24 @@ def test_update_log_is_frozen_and_diffs_once():
         log.delays[0] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         log.epochs = np.array([3.0])
+
+
+@given(epochs=st.lists(st.floats(min_value=1e-300, max_value=1e7,
+                                 allow_nan=False, allow_infinity=False),
+                       min_size=0, max_size=200))
+@example(epochs=[])
+@example(epochs=[2.5])
+@settings(max_examples=200)
+def test_update_log_delays_and_squares_are_bit_exact(epochs):
+    # The delays are the subtraction np.diff(prepend=0.0) performs, and
+    # the squares are their product, bit for bit; both are read-only.
+    e = np.sort(np.array(epochs, dtype=np.float64))
+    log = UpdateLog(epochs=e)
+    assert log.delays.tobytes() == np.diff(e, prepend=0.0).tobytes()
+    assert log.squares.tobytes() == (log.delays * log.delays).tobytes()
+    assert log.squares is log.squares
+    for arr in (log.delays, log.squares):
+        assert not arr.flags.writeable
+        if len(arr):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

@@ -1,9 +1,14 @@
+import math
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from aoisim import derive_seed, sample_path
-from aoisim.arrivals import SEED_STRIDE
+from aoisim.arrivals import _MASK, _MAX_BLOCK, SEED_STRIDE
 from reference_sim import PhiloxStream
 
 
@@ -16,6 +21,94 @@ def _manual_path(seed, n, rate=1.0):
         t = t + inc
         out.append(t)
     return np.array(out)
+
+
+def _fresh_path(seed, horizon, rate=1.0):
+    """sample_path's block and carry arithmetic on a freshly built
+    generator, with the blocks concatenated at the end."""
+    gen = np.random.Generator(np.random.Philox(key=seed & _MASK))
+    blocks, tail = [], 0.0
+    while tail <= horizon:
+        expect = (horizon - tail) * rate
+        n = min(int(expect + 6.0 * math.sqrt(expect + 1.0)) + 64, _MAX_BLOCK)
+        inst = -np.log1p(-gen.random(n)) / rate
+        inst[0] += tail
+        np.cumsum(inst, out=inst)
+        tail = float(inst[-1])
+        blocks.append(inst)
+    path = np.concatenate(blocks)
+    return path[:np.searchsorted(path, horizon, side="right")]
+
+
+STREAM_SEEDS = [0, 1, 2**64 - 1, SEED_STRIDE, derive_seed(2024, 17)]
+
+
+@pytest.mark.parametrize("rate", [0.3, 2.5])
+@pytest.mark.parametrize("horizon", [0.5, 500.0, 1e5, "blocks"])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_reset_stream_matches_fresh_generator(seed, horizon, rate):
+    # The per-thread generator, reset for each path, draws what a freshly
+    # built one draws; "blocks" holds more than 2**20 arrivals.
+    if horizon == "blocks":
+        horizon = 1.05 * _MAX_BLOCK / rate
+    path = sample_path(seed, horizon, rate)
+    assert path.tobytes() == _fresh_path(seed, horizon, rate).tobytes()
+    if horizon > _MAX_BLOCK / rate:
+        assert len(path) > _MAX_BLOCK
+
+
+def test_interleaved_streams_restart():
+    a = sample_path(11, 3000.0)
+    b = sample_path(12, 3000.0, rate=2.5)
+    assert np.array_equal(sample_path(11, 3000.0), a)
+    assert np.array_equal(sample_path(12, 3000.0, rate=2.5), b)
+    assert not np.array_equal(a[:100], b[:100])
+
+
+def test_threads_draw_what_serial_calls_draw():
+    # Each thread resets its own generator: threads switching every
+    # microsecond, more of them than cores, still draw the serial paths.
+    n_threads = 4
+    seeds = [derive_seed(5, i) for i in range(40)]
+    serial = [sample_path(s, 5000.0) for s in seeds]
+    start = threading.Barrier(n_threads)
+    drawn = [None] * n_threads
+
+    def draw(k):
+        start.wait()
+        drawn[k] = [sample_path(s, 5000.0) for s in seeds[k::n_threads] * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,))
+                   for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(n_threads):
+        expected = serial[k::n_threads] * 3
+        assert len(drawn[k]) == len(expected)
+        for got, want in zip(drawn[k], expected):
+            assert np.array_equal(got, want)
+
+
+def test_sample_path_memory_is_its_result():
+    # The path is filled in place in one array, not concatenated from
+    # blocks, so the peak is the result plus the estimate's slack.
+    sample_path(7, 10.0)  # this thread's generator exists before tracing
+    tracemalloc.start()
+    try:
+        path = sample_path(7, 3e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(path) > 2 * _MAX_BLOCK
+    assert peak <= 1.3 * path.nbytes
 
 
 def test_arrivals_strictly_increasing():

@@ -1,22 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aoisim import (
+    AdaptiveUnitBattery,
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
+    EnsembleResult,
     SimConfig,
     ThresholdUnitBattery,
     compare_unit_battery,
     derive_seed,
+    optimal_threshold,
     optimize_scalar,
     run_ensemble,
     run_path,
+    sample_path,
     sweep_battery,
     threshold_average_aoi,
     uniform_idle_runs,
 )
+from aoisim import runner, simkernel
 from aoisim.runner import (
+    DEFAULT_B1_BETA,
+    DEFAULT_B1_UNIFORM_PERIOD,
     running_averages,
     unit_beta_objective,
     unit_uniform_period_objective,
@@ -187,6 +196,51 @@ def test_compare_unit_battery_smoke():
         assert res.n_paths == 5
         assert len(res.checkpoint_means) == 2
         assert res.mean_avg_aoi > 0.5  # universal bound
+
+
+def test_compare_unit_battery_draws_each_path_once(monkeypatch):
+    # The three policies run on one draw of each path and reduce exactly
+    # as three separate ensembles on the same seeds do.
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return sample_path(*args)
+
+    for module in (runner, simkernel):
+        monkeypatch.setattr(module, "sample_path", counted)
+    ts = [100.0, 700.0, 3000.0]
+    shared = compare_unit_battery(horizon=3000.0, n_paths=4, base_seed=9,
+                                  checkpoints=ts)
+    assert len(draws) == 4
+    policies = {
+        "uniform": BestEffortUniform(period=DEFAULT_B1_UNIFORM_PERIOD),
+        "adaptive": AdaptiveUnitBattery(beta=DEFAULT_B1_BETA),
+        "threshold": ThresholdUnitBattery(tau0=optimal_threshold(1e-6)[0]),
+    }
+    assert list(shared) == list(policies)
+    for name, policy in policies.items():
+        alone = run_ensemble(SimConfig(policy, 1, 3000.0, seed=9), 4,
+                             checkpoints=ts)
+        for f in dataclasses.fields(EnsembleResult):
+            assert np.array_equal(getattr(shared[name], f.name),
+                                  getattr(alone, f.name)), (name, f.name)
+    assert len(draws) == 16
+
+
+@pytest.mark.parametrize("policy,cap", [
+    (BestEffortUniform(0.7), None),
+    (EnergyAwareAdaptive(1.0), 5),
+    (AdaptiveUnitBattery(-0.2), 1),
+    (ThresholdUnitBattery(0.901), 1),
+])
+def test_run_path_on_given_arrivals(policy, cap):
+    cfg = SimConfig(policy, cap, 2500.0, seed=derive_seed(3, 2))
+    drawn_here = run_path(cfg)
+    given = run_path(cfg, arrivals=sample_path(cfg.seed, cfg.horizon,
+                                               cfg.rate))
+    assert given[0] == drawn_here[0]
+    assert np.array_equal(given[1].epochs, drawn_here[1].epochs)
 
 
 def test_ensemble_mean_respects_lower_bound():

@@ -397,6 +397,15 @@ def test_update_log_is_path_zero(tmp_path, flags, capacity, policy):
 
 
 @pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
+def test_read_only_arrivals_match_reference(policy, capacity):
+    # A read-only array cannot export its buffer to ctypes; the C loops
+    # then read its address the slower way, with the same result.
+    arrivals = sample_path(13, 400.0)
+    arrivals.flags.writeable = False
+    assert_backends_match_reference(arrivals, policy, capacity, 400.0)
+
+
+@pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
 def test_numpy_scalar_parameters_give_same_array(policy, capacity):
     # The plain-Python loops write through a memoryview; what leaves the
     # kernel is still the array behind it. numpy scalar parameters are
