@@ -165,11 +165,8 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
         for cfg, rec in zip(configs, records):
             summary, log = run_path(replace(cfg, seed=seed), arrivals)
             rec.add(i, summary, log)
-        # The next path is drawn without this one's arrivals. Its last log
-        # lives until the next run_path returns: freeing that too would
-        # let malloc return the heap top after every path, and the next
-        # path would fault all its pages in again.
-        del arrivals
+        # The next path is drawn without this one's arrays alive.
+        del arrivals, log
     return [rec.result() for rec in records]
 
 
