@@ -161,12 +161,15 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
                         else None) for cfg in configs]
     for i in range(n_paths):
         seed = derive_seed(base.seed, i)
+        # The previous path's arrivals and log are freed as they are
+        # replaced. Freeing them before this draw would save one log of
+        # peak memory, but malloc would then return the heap top after
+        # each path, and the next path would fault all its pages in
+        # again (2.8 times the page faults on a T=1e5 path).
         arrivals = sample_path(seed, base.horizon, base.rate)
         for cfg, rec in zip(configs, records):
             summary, log = run_path(replace(cfg, seed=seed), arrivals)
             rec.add(i, summary, log)
-        # The next path is drawn without this one's arrays alive.
-        del arrivals, log
     return [rec.result() for rec in records]
 
 
