@@ -11,40 +11,31 @@ from .analytics import (
     optimal_threshold,
     threshold_average_aoi,
 )
-from .aoi_metrics import AoiTally, UpdateLog, accumulate_reward
+from .aoi_metrics import UpdateLog, accumulate_reward
 from .arrivals import derive_seed, sample_path
 from .policies import (
     AdaptiveUnitBattery,
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    Policy,
     ThresholdUnitBattery,
     adaptive_beta,
 )
 from .runner import (
-    EnsembleResult,
-    ScalarOptimum,
     compare_unit_battery,
     optimize_scalar,
     run_ensemble,
     sweep_battery,
-    uniform_idle_runs,
 )
-from .simkernel import SimConfig, SimSummary, run_path, simulate_path
+from .simkernel import SimConfig, run_path, simulate_path
 
 __all__ = [
     "AOI_LOWER_BOUND",
-    "AoiTally",
     "AdaptiveUnitBattery",
     "BestEffortUniform",
     "ConfigError",
     "EnergyAwareAdaptive",
-    "EnsembleResult",
-    "Policy",
-    "ScalarOptimum",
     "SimConfig",
-    "SimSummary",
     "ThresholdUnitBattery",
     "UpdateLog",
     "accumulate_reward",
@@ -62,5 +53,4 @@ __all__ = [
     "simulate_path",
     "sweep_battery",
     "threshold_average_aoi",
-    "uniform_idle_runs",
 ]

@@ -170,8 +170,7 @@ def cmd_simulate(args) -> int:
     manifest = _manifest("simulate", args, outputs)
 
     if args.format == "csv":
-        _atomic_write(args.out, _csv_text(
-            ["t", "mean_avg_aoi", "stderr"], _series_rows(result)))
+        _write_series(args.out, result)
         _atomic_write(args.out + ".manifest.json", _json_text(manifest))
     else:
         def _num(x):  # strict JSON has no NaN
@@ -283,7 +282,7 @@ def _reproduce_fig3(args, outdir: str, horizon: float,
     cells = sweep_battery([1.0, 2.0], [30, 60, 100, 200],
                           horizon=horizon, n_paths=paths, base_seed=args.seed)
     rows = [[c.k, c.cap, c.beta, c.mean_gap, c.stderr, c.gap_bound]
-            for c in cells if c.error is None]
+            for c in cells]
     path = os.path.join(outdir, "fig3_sweep.csv")
     _atomic_write(path, _csv_text(
         ["k", "B", "beta", "mean_gap", "stderr", "gap_bound"], rows))

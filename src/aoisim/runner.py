@@ -6,16 +6,17 @@ the stream derive_seed(s, i); paths are aggregated in seed order with numpy
 (pairwise) reductions, so repeated calls are bit-identical. Optimization
 and policy comparisons reuse one fixed seed set across candidates (common
 random numbers), which makes simulated objectives deterministic functions
-of their parameter. A policy comparison draws each path once and runs
-every policy on it. Each path's arrivals come from the thread's one Philox
-generator, reset to (key=seed, counter 0) for the path, which gives the
-same bits as a freshly built generator.
+of their parameter. A policy comparison and a battery sweep draw each
+path once and run every policy, or every (k, B) cell, on it. Each
+path's arrivals come from the thread's one Philox generator, reset to
+(key=seed, counter 0) for the path, which gives the same bits as a
+freshly built generator.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,7 +169,7 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
         # again (2.8 times the page faults on a T=1e5 path).
         arrivals = sample_path(seed, base.horizon, base.rate)
         for cfg, rec in zip(configs, records):
-            summary, log = run_path(replace(cfg, seed=seed), arrivals)
+            summary, log = run_path(cfg, arrivals)
             rec.add(i, summary, log)
     return [rec.result() for rec in records]
 
@@ -188,33 +189,27 @@ class SweepCell:
     mean_gap: float
     stderr: float
     gap_bound: float
-    error: str | None = None
 
 
 def sweep_battery(k_values, cap_values, horizon: float, n_paths: int,
                   base_seed: int) -> list[SweepCell]:
-    """Gap of the adaptive policy on a (k, B) grid; invalid cells are
-    reported with their configuration error and skipped, not fatal."""
-    cells = []
-    for k in k_values:
-        for cap in cap_values:
-            try:
-                beta = adaptive_beta(k, cap)
-                bound = adaptive_gap_bound(k, cap)
-            except ConfigError as exc:
-                cells.append(SweepCell(k=k, cap=cap, beta=float("nan"),
-                                       mean_gap=float("nan"),
-                                       stderr=float("nan"),
-                                       gap_bound=float("nan"),
-                                       error=str(exc)))
-                continue
-            cfg = SimConfig(policy=EnergyAwareAdaptive(k=k), capacity=cap,
-                            horizon=horizon, seed=base_seed)
-            res = run_ensemble(cfg, n_paths)
-            cells.append(SweepCell(k=k, cap=cap, beta=beta,
-                                   mean_gap=res.mean_gap, stderr=res.stderr,
-                                   gap_bound=bound))
-    return cells
+    """Gap of the adaptive policy on a (k, B) grid, k-major.
+
+    Every cell is checked before any path is drawn: an invalid (k, B)
+    raises its ConfigError. All cells share the base seed, so each path
+    is drawn once and every cell runs on it.
+    """
+    grid = [(k, cap, adaptive_beta(k, cap), adaptive_gap_bound(k, cap))
+            for k in k_values for cap in cap_values]
+    if not grid:
+        return []
+    configs = [SimConfig(policy=EnergyAwareAdaptive(k=k), capacity=cap,
+                         horizon=horizon, seed=base_seed)
+               for k, cap, _, _ in grid]
+    return [SweepCell(k=k, cap=cap, beta=beta, mean_gap=res.mean_gap,
+                      stderr=res.stderr, gap_bound=bound)
+            for (k, cap, beta, bound), res
+            in zip(grid, _run_policies(configs, n_paths))]
 
 
 @dataclass

@@ -377,9 +377,10 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None
              ) -> tuple[SimSummary, UpdateLog]:
     """Simulate one sample path up to the horizon.
 
-    ``arrivals``, when given, must be the path's own arrivals,
-    ``sample_path(config.seed, config.horizon, config.rate)``, drawn once
-    for several policies; by default they are drawn here.
+    ``arrivals``, when given, are used as they are and ``config.seed`` is
+    not read, so one draw can serve several policies. By default they are
+    drawn here with ``sample_path(config.seed, config.horizon,
+    config.rate)``.
     """
     config.validate()
     if arrivals is None:

@@ -8,9 +8,10 @@ from aoisim import (
     BestEffortUniform,
     ConfigError,
     EnergyAwareAdaptive,
-    EnsembleResult,
     SimConfig,
     ThresholdUnitBattery,
+    adaptive_beta,
+    adaptive_gap_bound,
     compare_unit_battery,
     derive_seed,
     optimal_threshold,
@@ -20,13 +21,15 @@ from aoisim import (
     sample_path,
     sweep_battery,
     threshold_average_aoi,
-    uniform_idle_runs,
 )
 from aoisim import runner, simkernel
 from aoisim.runner import (
     DEFAULT_B1_BETA,
     DEFAULT_B1_UNIFORM_PERIOD,
+    EnsembleResult,
+    SweepCell,
     running_averages,
+    uniform_idle_runs,
     unit_beta_objective,
     unit_uniform_period_objective,
 )
@@ -160,17 +163,53 @@ def test_simulated_objectives_use_common_random_numbers():
     assert opt_a.evaluations == opt_b.evaluations
 
 
-def test_sweep_battery_reports_invalid_cells():
-    cells = sweep_battery([1.0, 50.0], [30, 60], horizon=2000.0, n_paths=3,
+def _count_draws(monkeypatch):
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return sample_path(*args)
+
+    for module in (runner, simkernel):
+        monkeypatch.setattr(module, "sample_path", counted)
+    return draws
+
+
+def test_sweep_battery_draws_each_path_once(monkeypatch):
+    # The four cells run on one draw of each path and give, bit for bit,
+    # what four separate ensembles on the same seeds give.
+    draws = _count_draws(monkeypatch)
+    cells = sweep_battery([1.0, 2.0], [30, 60], horizon=2000.0, n_paths=3,
                           base_seed=5)
-    by_key = {(c.k, c.cap): c for c in cells}
-    assert by_key[(50.0, 30)].error is not None
-    assert by_key[(50.0, 60)].error is not None
-    ok = by_key[(1.0, 30)]
-    assert ok.error is None
-    assert ok.gap_bound > 0
-    assert np.isfinite(ok.mean_gap)
-    assert ok.beta == pytest.approx(np.log(30) / 30)
+    assert len(draws) == 3
+    assert [(c.k, c.cap) for c in cells] == [(1.0, 30), (1.0, 60),
+                                             (2.0, 30), (2.0, 60)]
+    for cell in cells:
+        alone = run_ensemble(SimConfig(EnergyAwareAdaptive(cell.k), cell.cap,
+                                       2000.0, seed=5), 3)
+        expected = SweepCell(k=cell.k, cap=cell.cap,
+                             beta=adaptive_beta(cell.k, cell.cap),
+                             mean_gap=alone.mean_gap, stderr=alone.stderr,
+                             gap_bound=adaptive_gap_bound(cell.k, cell.cap))
+        assert (np.array(dataclasses.astuple(cell)).tobytes()
+                == np.array(dataclasses.astuple(expected)).tobytes()), cell
+
+
+def test_sweep_battery_rejects_invalid_cells(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    with pytest.raises(ConfigError, match="k=50, B=30"):
+        sweep_battery([1.0, 50.0], [30, 60], horizon=2000.0, n_paths=3,
+                      base_seed=5)
+    assert draws == []
+
+
+@pytest.mark.parametrize("k_values,cap_values", [([], [30, 60]),
+                                                 ([1.0, 2.0], [])])
+def test_sweep_battery_empty_grid(monkeypatch, k_values, cap_values):
+    draws = _count_draws(monkeypatch)
+    assert sweep_battery(k_values, cap_values, horizon=2000.0, n_paths=3,
+                         base_seed=5) == []
+    assert draws == []
 
 
 @pytest.mark.parametrize("period,horizon", [(1.0, 400.0), (0.4, 1.0),
@@ -201,14 +240,7 @@ def test_compare_unit_battery_smoke():
 def test_compare_unit_battery_draws_each_path_once(monkeypatch):
     # The three policies run on one draw of each path and reduce exactly
     # as three separate ensembles on the same seeds do.
-    draws = []
-
-    def counted(*args):
-        draws.append(args)
-        return sample_path(*args)
-
-    for module in (runner, simkernel):
-        monkeypatch.setattr(module, "sample_path", counted)
+    draws = _count_draws(monkeypatch)
     ts = [100.0, 700.0, 3000.0]
     shared = compare_unit_battery(horizon=3000.0, n_paths=4, base_seed=9,
                                   checkpoints=ts)
