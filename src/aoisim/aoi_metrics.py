@@ -4,10 +4,18 @@ The reward R(T) is computed in closed form: half the sum of squared
 inter-update delays plus the squared tail after the last update. The test
 suite checks it to 1e-9 relative against an independent oracle that
 integrates the piecewise-linear age curve segment by segment.
+
+``tally`` reduces one log to what an ensemble keeps of it: the sums of
+its delays and of their squares, its smallest delay, and the running
+average R(t)/t at chosen checkpoints. The numpy expressions here are the
+definition. On the "c" backend, simkernel runs the tally of ``_loops.c``
+instead, which gives the same bits in one pass over the epochs and forms
+no delay, square or cumulative-sum array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -89,3 +97,31 @@ def accumulate_reward(log: UpdateLog, horizon: float) -> AoiTally:
     reward = 0.5 * (sum_sq + (horizon - last) ** 2)
     return AoiTally(reward=reward, horizon=horizon, updates=len(epochs))
 
+
+def running_averages(log: UpdateLog, checkpoints: np.ndarray) -> np.ndarray:
+    """Running time-average age R(t)/t of one path at each checkpoint."""
+    squares = log.squares
+    csum = np.empty(len(squares) + 1)
+    csum[0] = 0.0
+    squares.cumsum(out=csum[1:])
+    if len(log.epochs):
+        j = log.epochs.searchsorted(checkpoints, side="right")
+        last = np.where(j > 0, log.epochs[np.maximum(j - 1, 0)], 0.0)
+    else:
+        j = np.zeros(len(checkpoints), dtype=np.intp)
+        last = np.zeros(len(checkpoints))
+    reward = 0.5 * (csum[j] + (checkpoints - last) ** 2)
+    return reward / checkpoints
+
+
+def tally(log: UpdateLog, checkpoints: np.ndarray,
+          out: np.ndarray) -> tuple[float, float, float]:
+    """(sum of delays, sum of squared delays, smallest delay) of one log,
+    each sum pairwise as np.add.reduce takes it and the smallest delay
+    infinite for an empty log; R(t)/t at each checkpoint is written into
+    out, a float64 array as long as the checkpoints."""
+    d = log.delays
+    if len(checkpoints):
+        out[:] = running_averages(log, checkpoints)
+    return (float(np.add.reduce(d)), float(np.add.reduce(log.squares)),
+            float(d.min()) if len(d) else math.inf)

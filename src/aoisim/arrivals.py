@@ -57,8 +57,11 @@ def _stream(seed: int) -> np.random.Generator:
 
 
 def _expected(count: float) -> int:
-    """Room for `count` expected arrivals: six standard deviations over."""
-    return int(count + 6.0 * math.sqrt(count + 1.0)) + 64
+    """Room for `count` expected arrivals: two standard deviations over.
+    A path that falls short grows, which 0.40 % of 30010 paths of T=500
+    and 2.6 % of 1200 paths of T=1e5 did; a wider margin would make every
+    path draw more uniforms past its horizon."""
+    return int(count + 2.0 * math.sqrt(count + 1.0)) + 16
 
 
 def sample_path(seed: int, horizon: float, rate: float = 1.0) -> np.ndarray:

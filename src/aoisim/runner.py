@@ -10,7 +10,11 @@ of their parameter. A policy comparison and a battery sweep draw each
 path once and run every policy, or every (k, B) cell, on it. Each
 path's arrivals come from the thread's one Philox generator, reset to
 (key=seed, counter 0) for the path, which gives the same bits as a
-freshly built generator.
+freshly built generator. A path's record is what run_path's tally
+leaves: the time average, the sums of the delays and of their squares,
+and the row of running averages that run_path writes into the
+ensemble's series; the delays themselves are formed only for idle-run
+collection.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import numpy as np
 
 from .analytics import AOI_LOWER_BOUND, adaptive_gap_bound, optimal_threshold
 from .arrivals import derive_seed, sample_path
-from .aoi_metrics import UpdateLog
+# running_averages stays importable from here, where perfbench spans it.
+from .aoi_metrics import UpdateLog, running_averages  # noqa: F401
 from .policies import (
     AdaptiveUnitBattery,
     BestEffortUniform,
@@ -59,22 +64,6 @@ class EnsembleResult:
         return self.mean_avg_aoi - AOI_LOWER_BOUND
 
 
-def running_averages(log: UpdateLog, checkpoints: np.ndarray) -> np.ndarray:
-    """Running time-average age R(t)/t of one path at each checkpoint."""
-    squares = log.squares
-    csum = np.empty(len(squares) + 1)
-    csum[0] = 0.0
-    squares.cumsum(out=csum[1:])
-    if len(log.epochs):
-        j = log.epochs.searchsorted(checkpoints, side="right")
-        last = np.where(j > 0, log.epochs[np.maximum(j - 1, 0)], 0.0)
-    else:
-        j = np.zeros(len(checkpoints), dtype=np.intp)
-        last = np.zeros(len(checkpoints))
-    reward = 0.5 * (csum[j] + (checkpoints - last) ** 2)
-    return reward / checkpoints
-
-
 def uniform_idle_runs(delays: np.ndarray, period: float) -> np.ndarray:
     """Lengths of completed infeasible-epoch runs under a uniform grid.
 
@@ -93,22 +82,32 @@ class _Records:
         self.ts = ts
         self.avgs = np.empty(n_paths)
         self.series = np.empty((n_paths, len(ts))) if len(ts) else None
+        # The checkpoints as run_path's tally reads them: contiguous, with
+        # the order that sorts them.
+        self.points = (np.ascontiguousarray(ts),
+                       np.argsort(ts, kind="stable").astype(np.int64))
         self.sum_x = 0.0
         self.sum_x2 = 0.0
         self.n_delays = 0
         self.idle_period = idle_period
         self.idle_hist = np.zeros(1, dtype=np.int64)
 
+    def row(self, i: int):
+        """run_path's series argument for path i: None without
+        checkpoints."""
+        if self.series is None:
+            return None
+        return (*self.points, self.series[i])
+
     def add(self, i: int, summary: SimSummary, log: UpdateLog) -> None:
+        """Path i's record; run_path has written its series row."""
         self.avgs[i] = summary.time_avg_aoi
-        if self.series is not None:
-            self.series[i] = running_averages(log, self.ts)
-        d = log.delays
-        self.sum_x += float(np.add.reduce(d))
-        self.sum_x2 += float(np.add.reduce(log.squares))
-        self.n_delays += len(d)
+        self.sum_x += summary.delay_sum
+        self.sum_x2 += summary.square_sum
+        self.n_delays += summary.updates
         if self.idle_period is not None:
-            binned = np.bincount(uniform_idle_runs(d, self.idle_period),
+            binned = np.bincount(uniform_idle_runs(log.delays,
+                                                   self.idle_period),
                                  minlength=len(self.idle_hist))
             binned[:len(self.idle_hist)] += self.idle_hist
             self.idle_hist = binned
@@ -163,13 +162,15 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
     for i in range(n_paths):
         seed = derive_seed(base.seed, i)
         # The previous path's arrivals and log are freed as they are
-        # replaced. Freeing them before this draw would save one log of
-        # peak memory, but malloc would then return the heap top after
-        # each path, and the next path would fault all its pages in
-        # again (2.8 times the page faults on a T=1e5 path).
+        # replaced. Freeing them before this draw would save one epoch
+        # buffer of peak memory, but malloc would then return the heap
+        # top after each path, and the next path would fault its pages
+        # in again: a fig3 command (6 paths of T=1e5, 8 cells) takes
+        # 3336 minor faults that way against 838 this way, and a fig5
+        # command 1989 against 1212.
         arrivals = sample_path(seed, base.horizon, base.rate)
         for cfg, rec in zip(configs, records):
-            summary, log = run_path(cfg, arrivals)
+            summary, log = run_path(cfg, arrivals, rec.row(i))
             rec.add(i, summary, log)
     return [rec.result() for rec in records]
 

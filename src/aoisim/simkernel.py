@@ -20,6 +20,14 @@ with the level after the last epoch and the arrivals consumed.
 left up to T, clamps the level to the capacity, counts the overflow as
 wasted, and checks energy conservation.
 
+``run_path`` then tallies the update log in one call: the tally of
+``_loops.c`` on the "c" backend, the numpy expressions of
+``aoi_metrics.tally`` on "python", with the same bits. The tally gives
+the sums of the delays and of their squares, from which the reward
+follows, and the smallest delay, which must be positive; it writes the
+running average R(t)/t at the caller's checkpoints. The import refuses a
+C library whose tally differs from numpy's on a fixed set of logs.
+
 Conventions baked in here:
 
 * The battery holds one unit right before t=0 and the time-0 update
@@ -46,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoi_metrics import UpdateLog, accumulate_reward
+from .aoi_metrics import UpdateLog, tally
 from .arrivals import sample_path
 from .policies import (
     AdaptiveUnitBattery,
@@ -201,7 +209,37 @@ def _load_loops(source=_SOURCE, cache=None):
         fn = getattr(lib, name)
         fn.argtypes = [pointer, i64, f64, *params, pointer, i64, pointer]
         fn.restype = ctypes.c_int
-    return lib
+    lib.tally.argtypes = [pointer, i64, pointer, pointer, i64, pointer,
+                          pointer]
+    lib.tally.restype = None
+    # The C tally must add in numpy's order: a numpy whose np.add.reduce
+    # sums otherwise gets the numpy tally, not different CSVs.
+    return lib if _tally_agrees(lib) else None
+
+
+def _c_tally(lib, log, checkpoints, order, out):
+    """The tally of _loops.c in lib, as _tally takes its arguments."""
+    sums = (ctypes.c_double * 3)()
+    lib.tally(_address(log.epochs), log.epochs.size, _address(checkpoints),
+              _address(order), checkpoints.size, _address(out), sums)
+    return tuple(sums)
+
+
+def _tally_agrees(lib):
+    """Whether lib's tally gives the numpy tally's bits on logs whose
+    lengths take each branch of the pairwise sum: below 8, 8 to 128 and
+    split, with checkpoints unsorted, repeated, before the first epoch,
+    on an epoch and past the last."""
+    epochs = np.cumsum(1.0 / np.arange(1.0, 301.0))
+    ts = np.array([7.0, 0.5, 7.0, float(epochs[8]), 3.25, 1.0e3])
+    order = np.argsort(ts, kind="stable").astype(np.int64)
+    for n in (0, 1, 7, 8, 9, 127, 128, 129, 136, 300):
+        log = UpdateLog(epochs=epochs[:n])
+        want, got = np.empty(len(ts)), np.empty(len(ts))
+        if (_c_tally(lib, log, ts, order, got) != tally(log, ts, want)
+                or got.tobytes() != want.tobytes()):
+            return False
+    return True
 
 
 def _build(cc, source, cache, path):
@@ -223,9 +261,6 @@ def _build(cc, source, cache, path):
             os.unlink(tmp)
 
 
-_LOOPS = _load_loops()
-# "c" when the loops of _loops.c run, "python" for the fallback loops.
-BACKEND = "python" if _LOOPS is None else "c"
 _NO_BYTES = ctypes.c_char * 0
 
 
@@ -237,6 +272,11 @@ def _address(array):
         return ctypes.addressof(_NO_BYTES.from_buffer(array))
     except TypeError:  # read-only
         return array.ctypes.data
+
+
+_LOOPS = _load_loops()
+# "c" when the loops of _loops.c run, "python" for the fallback loops.
+BACKEND = "python" if _LOOPS is None else "c"
 
 
 def _walk(loop, room, arrivals, *params):
@@ -259,6 +299,19 @@ def _walk(loop, room, arrivals, *params):
         raise RuntimeError(f"{loop.__name__} needs more than {room} epochs")
     n_up, wasted, infeasible, level, seen = counts
     return epochs[:n_up], wasted, infeasible, level, seen
+
+
+_NO_POINTS = np.empty(0)
+_NO_ORDER = np.empty(0, np.int64)
+
+
+def _tally(log, checkpoints=_NO_POINTS, order=_NO_ORDER, out=_NO_POINTS):
+    """aoi_metrics.tally of the log, as the tally of _loops.c on the "c"
+    backend, which reads the checkpoints in the int64 `order` that sorts
+    them. Every array is contiguous; out is written."""
+    if BACKEND == "c":
+        return _c_tally(_LOOPS, log, checkpoints, order, out)
+    return tally(log, checkpoints, out)
 
 
 def _check_horizon(policy, horizon):
@@ -297,7 +350,8 @@ class SimConfig:
 
 @dataclass
 class SimSummary:
-    """Per-path outcome: time-average age plus energy accounting."""
+    """Per-path outcome: time-average age, the sums of the delays and of
+    their squares, and energy accounting."""
 
     time_avg_aoi: float
     reward: float
@@ -307,6 +361,8 @@ class SimSummary:
     final_level: int
     horizon: float
     arrivals_seen: int
+    delay_sum: float
+    square_sum: float
 
 
 def simulate_path(arrivals: np.ndarray, policy: Policy,
@@ -373,14 +429,17 @@ def _unit_gammas(arrivals: np.ndarray, epochs: np.ndarray) -> np.ndarray:
     return arrivals[idx] - prev
 
 
-def run_path(config: SimConfig, arrivals: np.ndarray | None = None
-             ) -> tuple[SimSummary, UpdateLog]:
+def run_path(config: SimConfig, arrivals: np.ndarray | None = None,
+             series=None) -> tuple[SimSummary, UpdateLog]:
     """Simulate one sample path up to the horizon.
 
     ``arrivals``, when given, are used as they are and ``config.seed`` is
     not read, so one draw can serve several policies. By default they are
     drawn here with ``sample_path(config.seed, config.horizon,
-    config.rate)``.
+    config.rate)``. ``series``, when given, is a triple (checkpoints,
+    order, row) of contiguous arrays: the checkpoints in (0, T], in any
+    order, the int64 order that sorts them, and a float64 row as long,
+    into which R(t)/t at each checkpoint is written.
     """
     config.validate()
     if arrivals is None:
@@ -389,16 +448,22 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None
         arrivals, config.policy, config.capacity, config.horizon,
         check=False)
     log = UpdateLog(epochs=epochs)
-    log.validate()
-    tally = accumulate_reward(log, config.horizon)
+    delay_sum, square_sum, smallest = _tally(log, *(series or ()))
+    if smallest <= 0:
+        raise ValueError("update epochs must be strictly increasing from 0")
+    # The closed form of aoi_metrics.accumulate_reward, on the tally's sum.
+    last = epochs[-1] if len(epochs) else 0.0
+    reward = 0.5 * (square_sum + (config.horizon - last) ** 2)
     summary = SimSummary(
-        time_avg_aoi=tally.time_average,
-        reward=tally.reward,
-        updates=tally.updates,
+        time_avg_aoi=reward / config.horizon,
+        reward=reward,
+        updates=len(epochs),
         wasted_units=int(wasted),
         infeasible_epochs=int(infeasible),
         final_level=int(level),
         horizon=config.horizon,
         arrivals_seen=len(arrivals),
+        delay_sum=delay_sum,
+        square_sum=square_sum,
     )
     return summary, log

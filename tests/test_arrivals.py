@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aoisim import derive_seed, sample_path
+from aoisim import arrivals, derive_seed, sample_path
 from aoisim.arrivals import _MASK, _MAX_BLOCK, SEED_STRIDE
 from reference_sim import PhiloxStream
 
@@ -25,7 +25,8 @@ def _manual_path(seed, n, rate=1.0):
 
 def _fresh_path(seed, horizon, rate=1.0):
     """sample_path's block and carry arithmetic on a freshly built
-    generator, with the blocks concatenated at the end."""
+    generator, with blocks sized six standard deviations over the expected
+    count and concatenated at the end."""
     gen = np.random.Generator(np.random.Philox(key=seed & _MASK))
     blocks, tail = [], 0.0
     while tail <= horizon:
@@ -55,6 +56,25 @@ def test_reset_stream_matches_fresh_generator(seed, horizon, rate):
     assert path.tobytes() == _fresh_path(seed, horizon, rate).tobytes()
     if horizon > _MAX_BLOCK / rate:
         assert len(path) > _MAX_BLOCK
+
+
+@pytest.mark.parametrize("horizon", [500.0, 1.05 * _MAX_BLOCK])
+def test_grown_path_matches_fresh_generator(horizon, monkeypatch):
+    # Sized for half its expected arrivals, every path falls short and
+    # grows, some more than once; the running sum carries across the
+    # copies, so the bits are still a freshly built generator's, across
+    # the 2**20 block edge too.
+    calls = []
+
+    def short(count):
+        calls.append(count)
+        return int(count / 2) + 1
+    monkeypatch.setattr(arrivals, "_expected", short)
+    for seed in STREAM_SEEDS:
+        calls.clear()
+        path = sample_path(seed, horizon)
+        assert len(calls) > 1
+        assert path.tobytes() == _fresh_path(seed, horizon).tobytes()
 
 
 def test_interleaved_streams_restart():
