@@ -17,7 +17,13 @@
 
    Each loop writes at most `room` epochs to `out`. It returns 0 and stores
    (updates, wasted, infeasible, level, arrivals seen) in `counts`, or
-   returns -1 as soon as an update finds no room left. */
+   returns -1 as soon as an update finds no room left.
+
+   The uniform loop jumps over runs of epochs that find the battery empty
+   and gives the counts of stepping through them, bit for bit: its epochs
+   are closed-form products n * period, so where a run ends follows from
+   the next arrival alone (see uniform_path). The adaptive loop builds
+   its epochs by repeated addition and steps through every one. */
 
 #include <float.h>
 #include <math.h>
@@ -38,16 +44,28 @@ static int done(int64_t *counts, int64_t n_up, int64_t wasted,
     return 0;
 }
 
-/* Best-effort uniform grid; cap < 0 means unbounded. */
+/* Best-effort uniform grid; cap < 0 means unbounded.
+
+   An empty battery stays empty until the next arrival a lands, or until
+   T when no arrival is left before it, so every epoch n * period <= a is
+   infeasible. When the battery is empty and no arrival comes before the
+   next epoch n, the loop jumps over that idle run: it counts the epochs
+   from n to m - 1 as infeasible and goes on at epoch m, a / period + 1
+   rounded down, lowered while epoch m - 1 lies past a. The jump is
+   exact because epoch n is computed in closed form: (double)n * period
+   is one correctly rounded product, which never decreases as n grows,
+   so every epoch it skips lies at or before a. The quotient may round m
+   one epoch short, onto an epoch at or before a, which the loop then
+   counts as it steps. The next epoch is tested for an arrival before
+   any division, so an idle run of one epoch costs one compare. */
 int uniform_path(const double *arr, int64_t n_arr, double horizon,
                  int64_t cap, double period, double *out, int64_t room,
                  int64_t *counts)
 {
     int64_t level = 0, idx = 0, n_up = 0, wasted = 0, infeasible = 0;
-    for (int64_t n = 1;; n++) {
-        double s = (double)n * period;
-        if (s > horizon)
-            break;
+    int64_t n = 1;
+    double s = period;
+    while (s <= horizon) {
         while (idx < n_arr && arr[idx] < s) {
             level++;
             idx++;
@@ -63,6 +81,16 @@ int uniform_path(const double *arr, int64_t n_arr, double horizon,
             out[n_up++] = s;
         } else {
             infeasible++;
+        }
+        s = (double)++n * period;
+        if (level == 0 && !(idx < n_arr && arr[idx] < s) && s <= horizon) {
+            double a = idx < n_arr && arr[idx] < horizon ? arr[idx] : horizon;
+            int64_t m = (int64_t)(a / period) + 1;
+            while ((double)(m - 1) * period > a)
+                m--;
+            infeasible += m - n;
+            n = m;
+            s = (double)n * period;
         }
     }
     return done(counts, n_up, wasted, infeasible, level, idx);

@@ -162,7 +162,13 @@ def cmd_simulate(args) -> int:
                        horizon=args.horizon, seed=args.seed, rate=args.rate)
     config.validate()
     checkpoints = args.checkpoints if args.checkpoints else [args.horizon]
-    result = run_ensemble(config, args.paths, checkpoints=checkpoints)
+    # Path 0's arrivals, drawn once for the ensemble and the update log;
+    # a path count below 1 is refused by the ensemble before any draw.
+    drawn = ((sample_path(derive_seed(args.seed, 0), args.horizon,
+                          args.rate),)
+             if args.update_log and args.paths >= 1 else ())
+    result = run_ensemble(config, args.paths, checkpoints=checkpoints,
+                          drawn=drawn)
 
     outputs = [args.out]
     if args.update_log:
@@ -189,9 +195,8 @@ def cmd_simulate(args) -> int:
         _atomic_write(args.out, _json_text(doc))
 
     if args.update_log:
-        # Path 0 of the ensemble, replayed on its arrivals drawn once.
-        arrivals = sample_path(derive_seed(args.seed, 0), args.horizon,
-                               args.rate)
+        # Path 0 of the ensemble, replayed on its arrivals.
+        arrivals = drawn[0]
         log = UpdateLog(epochs=simulate_path(arrivals, policy, capacity,
                                              args.horizon, check=False)[0])
         log.validate()
@@ -268,8 +273,11 @@ def _reproduce_fig2(args, outdir: str, horizon: float,
     checkpoints = _fig_checkpoints(horizon)
     config = SimConfig(policy=BestEffortUniform(period=1.0), capacity=None,
                        horizon=horizon, seed=args.seed)
-    single = run_ensemble(config, 1, checkpoints=checkpoints)
-    ensemble = run_ensemble(config, paths, checkpoints=checkpoints)
+    # Path 0 is drawn once for both ensembles; a tuple keeps no other path.
+    drawn = (sample_path(derive_seed(args.seed, 0), horizon, config.rate),)
+    single = run_ensemble(config, 1, checkpoints=checkpoints, drawn=drawn)
+    ensemble = run_ensemble(config, paths, checkpoints=checkpoints,
+                            drawn=drawn)
     files = [os.path.join(outdir, "fig2_single_path.csv"),
              os.path.join(outdir, "fig2_ensemble.csv")]
     _write_series(files[0], single)

@@ -7,14 +7,17 @@ the stream derive_seed(s, i); paths are aggregated in seed order with numpy
 and policy comparisons reuse one fixed seed set across candidates (common
 random numbers), which makes simulated objectives deterministic functions
 of their parameter. A policy comparison and a battery sweep draw each
-path once and run every policy, or every (k, B) cell, on it. Each
-path's arrivals come from the thread's one Philox generator, reset to
-(key=seed, counter 0) for the path, which gives the same bits as a
-freshly built generator. A path's record is what run_path's tally
-leaves: the time average, the sums of the delays and of their squares,
-and the row of running averages that run_path writes into the
-ensemble's series; the delays themselves are formed only for idle-run
-collection.
+path once and run every policy, or every (k, B) cell, on it. The two
+simulated objectives keep the paths they draw in their first evaluation,
+while their buffers fit in _DRAWN_BYTES (256 MiB, 200 paths of T=1e5),
+and run every later evaluation on them: a search draws each path once,
+and the cache dies with its objective. Each path's arrivals come from
+the thread's one Philox generator, reset to (key=seed, counter 0) for
+the path, which gives the same bits as a freshly built generator. A
+path's record is what run_path's tally leaves: the time average, the
+sums of the delays and of their squares, and the row of running averages
+that run_path writes into the ensemble's series; the delays themselves
+are formed only for idle-run collection.
 """
 
 from __future__ import annotations
@@ -137,13 +140,23 @@ class _Records:
         )
 
 
+# Bytes of arrivals that a `drawn` list keeps: 200 paths of T=1e5 fit.
+_DRAWN_BYTES = 256 << 20
+
+
 def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
-                  collect_idle_runs: bool = False) -> list[EnsembleResult]:
+                  collect_idle_runs: bool = False, *,
+                  drawn=()) -> list[EnsembleResult]:
     """Run every configuration on paths 0..n-1 of their common seed.
 
     The configurations share seed, horizon and rate, and differ only in
     policy and capacity: path i's arrivals are drawn once and every
-    policy runs on them.
+    policy runs on them. Path i < len(drawn) runs on drawn[i], which
+    must be what sample_path gives for it; every other path is drawn
+    through this module's sample_path, after every configuration has
+    been checked. When drawn is a list, the paths drawn here are appended
+    to it, in order, while the buffers of all its paths fit in
+    _DRAWN_BYTES; sample_path returns a view, and its base is the buffer.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
@@ -159,16 +172,26 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
 
     records = [_Records(n_paths, ts, cfg.policy.period if collect_idle_runs
                         else None) for cfg in configs]
+    keep = isinstance(drawn, list)
+    held = sum(a.base.nbytes for a in drawn) if keep else 0
     for i in range(n_paths):
-        seed = derive_seed(base.seed, i)
-        # The previous path's arrivals and log are freed as they are
-        # replaced. Freeing them before this draw would save one epoch
-        # buffer of peak memory, but malloc would then return the heap
-        # top after each path, and the next path would fault its pages
-        # in again: a fig3 command (6 paths of T=1e5, 8 cells) takes
-        # 3336 minor faults that way against 838 this way, and a fig5
-        # command 1989 against 1212.
-        arrivals = sample_path(seed, base.horizon, base.rate)
+        # The previous path's arrivals (unless drawn holds them) and log
+        # are freed as they are replaced. Freeing them before this draw
+        # would save one epoch buffer of peak memory, but malloc would
+        # then return the heap top after each path, and the next path
+        # would fault its pages in again: a fig3 command (6 paths of
+        # T=1e5, 8 cells) takes 3336 minor faults that way against 838
+        # this way, and a fig5 command 1989 against 1212.
+        if i < len(drawn):
+            arrivals = drawn[i]
+        else:
+            arrivals = sample_path(derive_seed(base.seed, i), base.horizon,
+                                   base.rate)
+            if keep:
+                # The first path that does not fit ends the keeping.
+                held += arrivals.base.nbytes
+                if held <= _DRAWN_BYTES:
+                    drawn.append(arrivals)
         for cfg, rec in zip(configs, records):
             summary, log = run_path(cfg, arrivals, rec.row(i))
             rec.add(i, summary, log)
@@ -176,10 +199,12 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
 
 
 def run_ensemble(config: SimConfig, n_paths: int, checkpoints=(),
-                 collect_idle_runs: bool = False) -> EnsembleResult:
-    """Run n paths on derived seeds and aggregate in fixed seed order."""
-    return _run_policies([config], n_paths, checkpoints,
-                         collect_idle_runs)[0]
+                 collect_idle_runs: bool = False, *,
+                 drawn=()) -> EnsembleResult:
+    """Run n paths on derived seeds and aggregate in fixed seed order;
+    drawn is _run_policies'."""
+    return _run_policies([config], n_paths, checkpoints, collect_idle_runs,
+                         drawn=drawn)[0]
 
 
 @dataclass
@@ -249,21 +274,27 @@ def optimize_scalar(objective, bracket: tuple[float, float],
 def unit_uniform_period_objective(horizon: float, n_paths: int,
                                   base_seed: int):
     """Ensemble-mean age of the B=1 uniform policy as a function of period,
-    on common random numbers."""
+    on common random numbers. The objective keeps the paths it draws, up
+    to _DRAWN_BYTES, for its later evaluations."""
+    drawn: list[np.ndarray] = []
+
     def objective(period: float) -> float:
         cfg = SimConfig(policy=BestEffortUniform(period=period), capacity=1,
                         horizon=horizon, seed=base_seed)
-        return run_ensemble(cfg, n_paths).mean_avg_aoi
+        return run_ensemble(cfg, n_paths, drawn=drawn).mean_avg_aoi
     return objective
 
 
 def unit_beta_objective(horizon: float, n_paths: int, base_seed: int):
     """Ensemble-mean age of the B=1 adaptive policy as a function of beta,
-    on common random numbers."""
+    on common random numbers. The objective keeps the paths it draws, up
+    to _DRAWN_BYTES, for its later evaluations."""
+    drawn: list[np.ndarray] = []
+
     def objective(beta: float) -> float:
         cfg = SimConfig(policy=AdaptiveUnitBattery(beta=beta), capacity=1,
                         horizon=horizon, seed=base_seed)
-        return run_ensemble(cfg, n_paths).mean_avg_aoi
+        return run_ensemble(cfg, n_paths, drawn=drawn).mean_avg_aoi
     return objective
 
 

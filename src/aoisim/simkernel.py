@@ -15,7 +15,11 @@ bit-identical whichever runs; the tests compare each with
 
 On either backend, each loop writes the update epochs into the buffer
 that ``_walk`` passes in, and returns (updates, wasted, infeasible, level, seen),
-with the level after the last epoch and the arrivals consumed.
+with the level after the last epoch and the arrivals consumed. The
+uniform loop jumps over each run of epochs that find the battery empty
+to the next arrival, counting the run as infeasible, so a dense grid
+costs its arrivals and updates, not its T / period epochs, with the
+counts of stepping bit for bit.
 ``simulate_path`` settles the battery once for all: it lands the arrivals
 left up to T, clamps the level to the capacity, counts the overflow as
 wasted, and checks energy conservation.
@@ -75,7 +79,14 @@ _MAX_GRID_EPOCHS = 1.0e8
 
 
 def _uniform_path(arrivals, horizon, cap, period, epochs):
-    """Best-effort uniform grid; cap < 0 means unbounded."""
+    """Best-effort uniform grid; cap < 0 means unbounded.
+
+    When the battery is empty and no arrival comes before the next epoch
+    n, it stays empty until the next arrival a, or T when none is left
+    before it: the loop counts epochs n to m - 1 as infeasible and goes
+    on at epoch m = int(a / period) + 1, lowered while epoch m - 1 lies
+    past a. _loops.c says why this lands where stepping would.
+    """
     n_arr = arrivals.shape[0]
     arr = memoryview(arrivals)
     out = memoryview(epochs)
@@ -85,10 +96,8 @@ def _uniform_path(arrivals, horizon, cap, period, epochs):
     wasted = 0
     infeasible = 0
     n = 1
-    while True:
-        s = n * period
-        if s > horizon:
-            break
+    s = period
+    while s <= horizon:
         while idx < n_arr and arr[idx] < s:
             level += 1
             idx += 1
@@ -102,6 +111,15 @@ def _uniform_path(arrivals, horizon, cap, period, epochs):
         else:
             infeasible += 1
         n += 1
+        s = n * period
+        if level == 0 and not (idx < n_arr and arr[idx] < s) and s <= horizon:
+            a = arr[idx] if idx < n_arr and arr[idx] < horizon else horizon
+            m = int(a / period) + 1
+            while (m - 1) * period > a:
+                m -= 1
+            infeasible += m - n
+            n = m
+            s = n * period
     return n_up, wasted, infeasible, level, idx
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -222,6 +223,68 @@ def test_optimize_bad_bracket_exit_2(capsys):
     code = run_cli(["optimize", "--target", "tau0-analytic",
                     "--bracket", "0", "5", "--tol", "0"])
     assert code == 2
+
+
+def _golden_count(lo, hi, tol):
+    """Distinct objective calls of a golden-section search with
+    hi - lo > tol: the two ends, the first two interior probes, and one
+    new probe for every shrink after the first."""
+    width, shrinks = hi - lo, 0
+    while width > tol:
+        width *= (math.sqrt(5.0) - 1.0) / 2.0
+        shrinks += 1
+    return shrinks + 3
+
+
+@pytest.mark.parametrize("target,bracket", [
+    ("uniform-period-b1", ("0.1", "1.5")),
+    ("beta-b1", ("-0.5", "0.5")),
+])
+def test_optimize_simulated_targets(capsys, tmp_path, target, bracket):
+    out = tmp_path / "optimum.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["optimize", "--target", target, "--bracket",
+                        *bracket, "--tol", "1e-2", "--paths", "3",
+                        "--horizon", "2000", "--seed", "4", "--out",
+                        str(out)])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"target", "arg", "value", "flat_bracket",
+                        "n_evaluations"}
+    lo, hi = map(float, bracket)
+    assert doc["target"] == target
+    assert lo <= doc["arg"] <= hi
+    assert doc["value"] > 0.5  # the universal lower bound on the mean age
+    assert doc["n_evaluations"] == _golden_count(lo, hi, 1e-2)
+    saved = json.loads(out.read_text())
+    assert saved["manifest"]["subcommand"] == "optimize"
+    assert saved["manifest"]["parameters"]["target"] == target
+    assert {k: saved[k] for k in doc} == doc
+    # The B=1 uniform objective rises over its whole bracket, so that
+    # search ends at its lower end with the flatness warning.
+    assert doc["flat_bracket"] == (target == "uniform-period-b1")
+    assert [str(w.message) for w in caught] == (
+        ["no interior improvement over the bracket; returning the best "
+         "endpoint"] if doc["flat_bracket"] else [])
+
+
+@pytest.mark.parametrize("target", ["uniform-period-b1", "beta-b1"])
+@pytest.mark.parametrize("flags,message", [
+    (["--horizon", "0"], "horizon must lie in"),
+    (["--horizon", "nan"], "horizon must lie in"),
+    (["--horizon", "2e7"], "horizon must lie in"),
+    (["--paths", "0"], "n_paths must be >= 1"),
+])
+def test_optimize_simulated_bad_config_exit_2(capsys, tmp_path, target,
+                                              flags, message):
+    out = tmp_path / "optimum.json"
+    code = run_cli(["optimize", "--target", target, "--bracket", "0.1",
+                    "0.5", "--paths", "2", "--horizon", "100", *flags,
+                    "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("horizon,mean_range", [

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from aoisim import (
     sweep_battery,
     threshold_average_aoi,
 )
-from aoisim import runner, simkernel
+from aoisim import cli, runner, simkernel
 from aoisim.runner import (
     DEFAULT_B1_BETA,
     DEFAULT_B1_UNIFORM_PERIOD,
@@ -170,7 +172,7 @@ def _count_draws(monkeypatch):
         draws.append(args)
         return sample_path(*args)
 
-    for module in (runner, simkernel):
+    for module in (runner, simkernel, cli):
         monkeypatch.setattr(module, "sample_path", counted)
     return draws
 
@@ -285,3 +287,166 @@ def test_ensemble_mean_respects_lower_bound():
     for cfg in configs:
         result = run_ensemble(cfg, 10)
         assert result.mean_avg_aoi >= 0.5 - 0.01
+
+
+# The two simulated objectives, with brackets that take a search at
+# tol=0.01 through 13 evaluations on 5 paths of T=500.
+SEARCHES = [
+    pytest.param(unit_uniform_period_objective, (0.3, 1.2), id="period"),
+    pytest.param(unit_beta_objective, (-0.5, 0.5), id="beta"),
+]
+SEARCH_PATHS, SEARCH_HORIZON, SEARCH_SEED = 5, 500.0, 11
+
+
+def _search(objective, bracket):
+    """optimize_scalar on the objective, counting its calls; a search that
+    ends at a bracket end warns, and that is not what is tested here."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return objective(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        opt = optimize_scalar(counted, bracket, tol=0.01)
+    return opt, len(calls)
+
+
+@pytest.mark.parametrize("make,bracket", SEARCHES)
+def test_search_is_bit_identical_with_and_without_drawn_paths(
+        monkeypatch, make, bracket):
+    # The kept paths change no bit of a search: a cap of 0 keeps none,
+    # and a fresh objective at every evaluation draws every path anew.
+    def search():
+        opt, _ = _search(make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED),
+                         bracket)
+        return opt
+    kept = search()
+    monkeypatch.setattr(runner, "_DRAWN_BYTES", 0)
+    none_kept = search()
+    monkeypatch.undo()
+    fresh, _ = _search(
+        lambda x: make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED)(x), bracket)
+    for other in (none_kept, fresh):
+        assert (np.array([other.arg, other.value]).tobytes()
+                == np.array([kept.arg, kept.value]).tobytes())
+        assert other.flat == kept.flat
+        assert (np.array(other.evaluations).tobytes()
+                == np.array(kept.evaluations).tobytes())
+    assert len(kept.evaluations) > 10
+
+
+@pytest.mark.parametrize("make,bracket", SEARCHES)
+@pytest.mark.parametrize("kept", [0, 2, SEARCH_PATHS])
+def test_search_draws_kept_paths_once(monkeypatch, make, bracket, kept):
+    # With room for the first `kept` paths, a search draws them once and
+    # the others at every evaluation; the cap counts each path's whole
+    # buffer, of which sample_path returns a view.
+    paths = [sample_path(derive_seed(SEARCH_SEED, i), SEARCH_HORIZON)
+             for i in range(SEARCH_PATHS)]
+    sizes = [path.base.nbytes for path in paths]
+    assert all(size > path.nbytes for size, path in zip(sizes, paths))
+    monkeypatch.setattr(runner, "_DRAWN_BYTES", sum(sizes[:kept]))
+    draws = _count_draws(monkeypatch)
+    _, evaluations = _search(make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED),
+                             bracket)
+    assert evaluations > 10
+    assert len(draws) == kept + (SEARCH_PATHS - kept) * evaluations
+    assert draws[:SEARCH_PATHS] == [
+        (derive_seed(SEARCH_SEED, i), SEARCH_HORIZON, 1.0)
+        for i in range(SEARCH_PATHS)]
+
+
+@pytest.mark.parametrize("make,bracket", SEARCHES)
+def test_drawn_paths_are_unchanged_by_a_search(monkeypatch, make, bracket):
+    # The kernels only read the kept arrivals: after a whole search they
+    # hold the bytes a fresh draw gives.
+    drawn = []
+
+    def keep(*args):
+        drawn.append(sample_path(*args))
+        return drawn[-1]
+    monkeypatch.setattr(runner, "sample_path", keep)
+    _search(make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED), bracket)
+    assert len(drawn) == SEARCH_PATHS
+    for i, arrivals in enumerate(drawn):
+        fresh = sample_path(derive_seed(SEARCH_SEED, i), SEARCH_HORIZON)
+        assert arrivals.tobytes() == fresh.tobytes()
+        assert arrivals.base.tobytes()[:fresh.nbytes] == fresh.tobytes()
+
+
+@pytest.mark.parametrize("make,arg", [(unit_uniform_period_objective, 0.5),
+                                      (unit_beta_objective, -0.1)])
+@pytest.mark.parametrize("horizon,n_paths,message", [
+    (math.nan, 3, "horizon"),
+    (0.0, 3, "horizon"),
+    (2e7, 3, "horizon"),
+    (500.0, 0, "n_paths"),
+])
+def test_bad_search_config_draws_nothing(monkeypatch, make, arg, horizon,
+                                         n_paths, message):
+    draws = _count_draws(monkeypatch)
+    objective = make(horizon, n_paths, 1)
+    for _ in range(2):  # a first failure keeps nothing for the next call
+        with pytest.raises(ConfigError, match=message):
+            objective(arg)
+    assert draws == []
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+def test_bad_rate_draws_nothing(monkeypatch, rate):
+    draws, drawn = _count_draws(monkeypatch), []
+    cfg = SimConfig(BestEffortUniform(0.5), 1, 500.0, seed=1, rate=rate)
+    with pytest.raises(ConfigError, match="rate"):
+        run_ensemble(cfg, 3, drawn=drawn)
+    assert draws == [] and drawn == []
+
+
+def test_drawn_tuple_is_used_and_kept_as_it_is(monkeypatch):
+    # A tuple hands the first paths over and keeps no path drawn after
+    # them; the ensemble is the one that draws every path itself.
+    cfg = SimConfig(BestEffortUniform(1.0), None, 500.0, seed=6)
+    alone = run_ensemble(cfg, 4, checkpoints=[100.0, 500.0])
+    draws = _count_draws(monkeypatch)
+    drawn = (sample_path(derive_seed(6, 0), 500.0),)
+    draws.clear()
+    given = run_ensemble(cfg, 4, checkpoints=[100.0, 500.0], drawn=drawn)
+    assert [d[0] for d in draws] == [derive_seed(6, i) for i in (1, 2, 3)]
+    assert len(drawn) == 1
+    for f in dataclasses.fields(EnsembleResult):
+        assert np.array_equal(getattr(given, f.name), getattr(alone, f.name))
+
+
+def test_simulate_update_log_draws_path_zero_once(monkeypatch, tmp_path):
+    # One path with its update log is one draw; the series it writes is
+    # the one written without the log.
+    args = ["simulate", "--policy", "greedy", "--battery", "1",
+            "--horizon", "1000", "--paths", "1", "--seed", "3"]
+    assert cli.main([*args, "--out", str(tmp_path / "plain.csv")]) == 0
+    draws = _count_draws(monkeypatch)
+    assert cli.main([*args, "--out", str(tmp_path / "r.csv"), "--update-log",
+                     str(tmp_path / "log.csv")]) == 0
+    assert len(draws) == 1
+    assert ((tmp_path / "r.csv").read_bytes()
+            == (tmp_path / "plain.csv").read_bytes())
+    assert (tmp_path / "log.csv").read_text().startswith(
+        "index,epoch,delay,gamma\n")
+
+
+@pytest.mark.parametrize("paths", [1, 7])
+def test_figure2_draws_each_path_once(monkeypatch, tmp_path, paths):
+    # fig2's one-path and full ensembles share path 0's draw, and write
+    # what two ensembles that draw their own paths write.
+    draws = _count_draws(monkeypatch)
+    assert cli.main(["reproduce", "--figure", "2", "--out", str(tmp_path),
+                     "--paths", str(paths), "--horizon", "300",
+                     "--seed", "5"]) == 0
+    assert len(draws) == paths
+    monkeypatch.undo()
+    cfg = SimConfig(BestEffortUniform(1.0), None, 300.0, seed=5)
+    ts = cli._fig_checkpoints(300.0)
+    for name, n in [("fig2_single_path.csv", 1), ("fig2_ensemble.csv", paths)]:
+        cli._write_series(str(tmp_path / "expected.csv"),
+                          run_ensemble(cfg, n, checkpoints=ts))
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / "expected.csv").read_bytes()), name

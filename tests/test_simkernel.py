@@ -189,6 +189,106 @@ def test_uniform_matches_reference(capacity, case):
 
 
 @st.composite
+def _idle_grid_arrivals(draw):
+    """(period, horizon, arrivals) with long idle runs for the uniform
+    grid's jump: a few arrivals on grid epochs n * period, one ulp below
+    or above one, at T, past T, and at or below 0, on a grid of up to
+    20000 epochs whose horizon may sit on a grid epoch or off it."""
+    period = draw(st.sampled_from([0.1, 0.148, 0.43, 1.0, 3.7]))
+    n_last = draw(st.integers(1, 20000))
+    horizon = draw(st.sampled_from([
+        n_last * period,
+        float(np.nextafter(n_last * period, 0.0)),
+        float(np.nextafter(n_last * period, np.inf)),
+        (n_last + 0.37) * period]))
+    arrivals = []
+    for n in draw(st.lists(st.integers(1, n_last + 2), max_size=12)):
+        on = n * period
+        arrivals.append(draw(st.sampled_from([
+            on, float(np.nextafter(on, 0.0)), float(np.nextafter(on, np.inf)),
+        ])))
+    arrivals += draw(st.lists(st.sampled_from([
+        horizon, float(np.nextafter(horizon, np.inf)), 2.0 * horizon,
+        0.0, -0.0, -1.0, float(np.nextafter(0.0, 1.0))]), max_size=4))
+    return period, horizon, np.sort(np.array(arrivals, dtype=np.float64))
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 2, 30])
+@given(case=_idle_grid_arrivals())
+# One arrival one ulp past an epoch, one on the next, one an ulp before
+# the one after: each run ends one epoch later than its arrival's floor.
+@example(case=(0.1, 300 * 0.1, np.array([float(np.nextafter(50 * 0.1, 1.0)),
+                                         51 * 0.1,
+                                         float(np.nextafter(90 * 0.1, 0.0))])))
+@example(case=(0.43, 11 * 0.43, np.array([-1.0, 0.0, 11 * 0.43, 9.0])))
+def test_uniform_jump_matches_reference(capacity, case):
+    # The jump over idle epochs lands where stepping epoch by epoch does,
+    # on every backend, in epochs, waste, infeasible count and level.
+    period, horizon, arrivals = case
+    assert_backends_match_reference(arrivals, BestEffortUniform(period),
+                                    capacity, horizon)
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 30])
+@pytest.mark.parametrize("late", [
+    7.0, 65432.15, float(np.nextafter(654321 * 0.1, 0.0)), 654321 * 0.1,
+    float(np.nextafter(654321 * 0.1, np.inf)), 99999.95,
+], ids=["early", "between", "ulp-below", "on-epoch", "ulp-above", "last"])
+def test_uniform_jump_one_late_arrival(capacity, late):
+    # One arrival in a grid of 1e6 epochs: one update, at the first grid
+    # epoch past the arrival, and every other epoch infeasible, as the
+    # grid n * period (numpy's int64 * float64, the same product) says.
+    period, horizon = 0.1, 1.0e5
+    grid = np.arange(1, 1_000_002) * period
+    grid = grid[grid <= horizon]
+    assert len(grid) == 1_000_000
+    expected = grid[grid > late][:1]
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            epochs, wasted, infeasible, level = simulate_path(
+                np.array([late]), BestEffortUniform(period), capacity,
+                horizon)
+        assert np.array_equal(epochs, expected), backend
+        assert (wasted, infeasible, level) == (0, len(grid) - 1, 0), backend
+
+
+@pytest.mark.parametrize("period,horizon", [(0.1, 1.0e5), (0.43, 11 * 0.43),
+                                            (3.7, 3.6)])
+def test_uniform_jump_no_arrivals(period, horizon):
+    # An empty path is one idle run: every grid epoch up to T infeasible.
+    n_grid = int(np.count_nonzero(
+        np.arange(1, int(horizon / period) + 3) * period <= horizon))
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            for capacity in (None, 1, 2, 30):
+                epochs, wasted, infeasible, level = simulate_path(
+                    np.empty(0), BestEffortUniform(period), capacity, horizon)
+                assert len(epochs) == 0
+                assert (wasted, infeasible, level) == (0, n_grid, 0), backend
+
+
+def test_uniform_jump_then_short_epoch_buffer():
+    # A jump over a long idle run does not skip the room check: the
+    # updates after it still stop at the room given, and _walk raises.
+    arrivals = 5000.0 + np.arange(10) * 0.5
+    if simkernel.BACKEND == "c":
+        out = np.full(8, -7.0)
+        counts = (ctypes.c_int64 * 5)()
+        assert simkernel._LOOPS.uniform_path(
+            arrivals.ctypes.data, arrivals.size, 6000.0, -1, 0.1,
+            out.ctypes.data, 3, counts) == -1
+        assert np.all(out[:3] > 5000.0) and np.all(out[3:] == -7.0)
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            with pytest.raises(RuntimeError, match="more than 3 epochs"):
+                simkernel._walk(simkernel._uniform_path, 3, arrivals, 6000.0,
+                                -1, 0.1)
+
+
+@st.composite
 def _loop_arrivals(draw):
     """(horizon, arrivals) for the per-epoch loops: arrivals in (0, T], none
     at all, sparse or dense, with quarter-unit instants mixed in so that
