@@ -1,11 +1,13 @@
-/* The three per-epoch loops of aoisim.simkernel, statement for statement,
-   and the per-path tally that aoisim.aoi_metrics.tally defines in numpy.
+/* One path of one policy in one call: the three per-epoch loops of
+   aoisim.simkernel, statement for statement, the settling of the battery
+   at T, and the per-path tally that aoisim.aoi_metrics.tally defines in
+   numpy.
 
    simkernel compiles this file on first import with
        cc -O2 -std=c99 -fPIC -shared -ffp-contract=off
-   and calls it through ctypes; its Python loops and the numpy tally are
-   the fallback when no compiler is available, and the oracles the tests
-   compare against.
+   and calls `path` through ctypes, once per path and policy; its Python
+   loops and the numpy tally are the fallback when no compiler is
+   available, and the oracles the tests compare against.
 
    The results are bit-identical to the Python loops. Python floats are C
    doubles, and every floating-point operation below is one IEEE add,
@@ -58,9 +60,9 @@ static int done(int64_t *counts, int64_t n_up, int64_t wasted,
    one epoch short, onto an epoch at or before a, which the loop then
    counts as it steps. The next epoch is tested for an arrival before
    any division, so an idle run of one epoch costs one compare. */
-int uniform_path(const double *arr, int64_t n_arr, double horizon,
-                 int64_t cap, double period, double *out, int64_t room,
-                 int64_t *counts)
+static int uniform_path(const double *arr, int64_t n_arr, double horizon,
+                        int64_t cap, double period, double *out,
+                        int64_t room, int64_t *counts)
 {
     int64_t level = 0, idx = 0, n_up = 0, wasted = 0, infeasible = 0;
     int64_t n = 1;
@@ -97,9 +99,10 @@ int uniform_path(const double *arr, int64_t n_arr, double horizon,
 }
 
 /* Recursive schedule with the delay picked by 2*level vs cap. */
-int adaptive_path(const double *arr, int64_t n_arr, double horizon,
-                  int64_t cap, double d_low, double d_mid, double d_high,
-                  double *out, int64_t room, int64_t *counts)
+static int adaptive_path(const double *arr, int64_t n_arr, double horizon,
+                         int64_t cap, double d_low, double d_mid,
+                         double d_high, double *out, int64_t room,
+                         int64_t *counts)
 {
     int64_t level = 0, level_before = 1, idx = 0, n_up = 0, wasted = 0,
             infeasible = 0;
@@ -137,9 +140,9 @@ int adaptive_path(const double *arr, int64_t n_arr, double horizon,
 
 /* B=1 threshold renewals: each update consumes the first arrival after the
    previous update; later arrivals before the update are wasted. */
-int unit_renewal_path(const double *arr, int64_t n_arr, double horizon,
-                      double tau0, double *out, int64_t room,
-                      int64_t *counts)
+static int unit_renewal_path(const double *arr, int64_t n_arr,
+                             double horizon, double tau0, double *out,
+                             int64_t room, int64_t *counts)
 {
     int64_t idx = 0, n_up = 0, wasted = 0;
     double s = 0.0;
@@ -260,8 +263,9 @@ static void pairwise(struct walk *w, int64_t n, double *sum, double *sum_sq)
 /* The tally of one log: stores (sum of delays, sum of squared delays,
    smallest delay) in `sums`, infinity for the smallest of no delays, and
    writes the running average at every checkpoint into series. */
-void tally(const double *epochs, int64_t n, const double *ts,
-           const int64_t *order, int64_t n_ts, double *series, double *sums)
+static void tally(const double *epochs, int64_t n, const double *ts,
+                  const int64_t *order, int64_t n_ts, double *series,
+                  double *sums)
 {
     struct walk w = {epochs, 0.0, 0.0, INFINITY, ts, order, n_ts, 0,
                      n_ts ? ts[order[0]] : INFINITY, series};
@@ -273,4 +277,62 @@ void tally(const double *epochs, int64_t n, const double *ts,
     sums[0] = 0.0 + sum;
     sums[1] = 0.0 + sum_sq;
     sums[2] = w.min;
+}
+
+
+enum { UNIFORM, ADAPTIVE, RENEWAL };
+
+/* What stays the same for every path of one configuration, filled once
+   by simkernel._Plan: the loop and its parameters (the period; the low,
+   middle and high delays; tau0), the capacity (-1 for none), T and the
+   checkpoints. Each call leaves its counts (updates, wasted, infeasible,
+   level, seen, landed) and the tally's sums here. */
+struct plan {
+    int64_t regime, cap;
+    double horizon, p[3];
+    const double *ts;
+    const int64_t *order;
+    int64_t n_ts;
+    int64_t counts[6];
+    double sums[3];
+};
+
+/* Walks the plan's loop over the sorted arrivals, with room for `room`
+   epochs in `out`, and returns its -1 when it runs out. Then the
+   arrivals left up to T land: there are as many as
+   np.searchsorted(arr, T, side="right") counts, found by scanning on
+   from the last one seen. A full battery loses the overflow, which
+   counts as wasted. Last, the epochs are tallied, with the series
+   written to `series`. */
+int path(struct plan *pl, const double *arr, int64_t n_arr, double *out,
+         int64_t room, double *series)
+{
+    int64_t *c = pl->counts, landed;
+    int full;
+    if (pl->regime == UNIFORM)
+        full = uniform_path(arr, n_arr, pl->horizon, pl->cap, pl->p[0], out,
+                            room, c);
+    else if (pl->regime == ADAPTIVE)
+        full = adaptive_path(arr, n_arr, pl->horizon, pl->cap, pl->p[0],
+                             pl->p[1], pl->p[2], out, room, c);
+    else
+        full = unit_renewal_path(arr, n_arr, pl->horizon, pl->p[0], out,
+                                 room, c);
+    if (full)
+        return full;
+    /* A renewal's s + (a - s) may round below an arrival a past T, so the
+       scan also steps back over arrivals seen past T. */
+    landed = c[4];
+    while (landed < n_arr && arr[landed] <= pl->horizon)
+        landed++;
+    while (landed > 0 && arr[landed - 1] > pl->horizon)
+        landed--;
+    c[3] += landed - c[4];
+    if (pl->cap >= 0 && c[3] > pl->cap) {
+        c[1] += c[3] - pl->cap;
+        c[3] = pl->cap;
+    }
+    c[5] = landed;
+    tally(out, c[0], pl->ts, pl->order, pl->n_ts, series, pl->sums);
+    return 0;
 }

@@ -13,11 +13,13 @@ while their buffers fit in _DRAWN_BYTES (256 MiB, 200 paths of T=1e5),
 and run every later evaluation on them: a search draws each path once,
 and the cache dies with its objective. Each path's arrivals come from
 the thread's one Philox generator, reset to (key=seed, counter 0) for
-the path, which gives the same bits as a freshly built generator. A
-path's record is what run_path's tally leaves: the time average, the
-sums of the delays and of their squares, and the row of running averages
-that run_path writes into the ensemble's series; the delays themselves
-are formed only for idle-run collection.
+the path, which gives the same bits as a freshly built generator. Each
+configuration's simkernel plan (its loop, parameters, checkpoints and
+series rows) is resolved once, and run_path runs path i of it in one
+call. A path's record is what that call's tally leaves: the time
+average, the sums of the delays and of their squares, and the row of
+running averages written into the ensemble's series; the delays
+themselves are formed only for idle-run collection.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .policies import (
     adaptive_beta,
 )
 from .search import golden_section
-from .simkernel import SimConfig, SimSummary, run_path
+from .simkernel import SimConfig, SimSummary, _Plan, run_path
 
 # Numerically optimized parameters used by the three-policy B=1 comparison.
 DEFAULT_B1_UNIFORM_PERIOD = 0.43
@@ -81,26 +83,19 @@ def uniform_idle_runs(delays: np.ndarray, period: float) -> np.ndarray:
 class _Records:
     """One policy's per-path records, reduced in seed order."""
 
-    def __init__(self, n_paths: int, ts: np.ndarray, idle_period=None):
+    def __init__(self, config: SimConfig, n_paths: int, ts: np.ndarray,
+                 order: np.ndarray, idle_period=None):
         self.ts = ts
         self.avgs = np.empty(n_paths)
         self.series = np.empty((n_paths, len(ts))) if len(ts) else None
-        # The checkpoints as run_path's tally reads them: contiguous, with
-        # the order that sorts them.
-        self.points = (np.ascontiguousarray(ts),
-                       np.argsort(ts, kind="stable").astype(np.int64))
+        # What run_path needs of this configuration, resolved once.
+        self.plan = _Plan(config.policy, config.capacity,
+                          float(config.horizon), ts, order, self.series)
         self.sum_x = 0.0
         self.sum_x2 = 0.0
         self.n_delays = 0
         self.idle_period = idle_period
         self.idle_hist = np.zeros(1, dtype=np.int64)
-
-    def row(self, i: int):
-        """run_path's series argument for path i: None without
-        checkpoints."""
-        if self.series is None:
-            return None
-        return (*self.points, self.series[i])
 
     def add(self, i: int, summary: SimSummary, log: UpdateLog) -> None:
         """Path i's record; run_path has written its series row."""
@@ -170,8 +165,13 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
                                      for cfg in configs):
         raise ConfigError("idle-run collection applies to the uniform policy")
 
-    records = [_Records(n_paths, ts, cfg.policy.period if collect_idle_runs
-                        else None) for cfg in configs]
+    # The checkpoints as the tally reads them: contiguous, with the order
+    # that sorts them.
+    ts = np.ascontiguousarray(ts)
+    order = np.argsort(ts, kind="stable").astype(np.int64)
+    records = [_Records(cfg, n_paths, ts, order,
+                        cfg.policy.period if collect_idle_runs else None)
+               for cfg in configs]
     keep = isinstance(drawn, list)
     held = sum(a.base.nbytes for a in drawn) if keep else 0
     for i in range(n_paths):
@@ -193,7 +193,7 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
                 if held <= _DRAWN_BYTES:
                     drawn.append(arrivals)
         for cfg, rec in zip(configs, records):
-            summary, log = run_path(cfg, arrivals, rec.row(i))
+            summary, log = run_path(cfg, arrivals, (rec.plan, i))
             rec.add(i, summary, log)
     return [rec.result() for rec in records]
 

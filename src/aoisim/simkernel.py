@@ -13,24 +13,21 @@ compute the same float operations in the same order, so results are
 bit-identical whichever runs; the tests compare each with
 ``tests/reference_sim.py``.
 
-On either backend, each loop writes the update epochs into the buffer
-that ``_walk`` passes in, and returns (updates, wasted, infeasible, level, seen),
-with the level after the last epoch and the arrivals consumed. The
-uniform loop jumps over each run of epochs that find the battery empty
-to the next arrival, counting the run as infeasible, so a dense grid
-costs its arrivals and updates, not its T / period epochs, with the
-counts of stepping bit for bit.
-``simulate_path`` settles the battery once for all: it lands the arrivals
-left up to T, clamps the level to the capacity, counts the overflow as
-wasted, and checks energy conservation.
-
-``run_path`` then tallies the update log in one call: the tally of
-``_loops.c`` on the "c" backend, the numpy expressions of
-``aoi_metrics.tally`` on "python", with the same bits. The tally gives
-the sums of the delays and of their squares, from which the reward
-follows, and the smallest delay, which must be positive; it writes the
-running average R(t)/t at the caller's checkpoints. The import refuses a
-C library whose tally differs from numpy's on a fixed set of logs.
+One path of one policy is one call of ``_entry``: ``path`` of
+``_loops.c`` on "c", the Python loop and the numpy ``aoi_metrics.tally``
+on "python", with the same bits. It walks the loop into a fresh epoch
+buffer; the uniform loop jumps over each run of epochs that find the
+battery empty, with the counts of stepping bit for bit, so a dense grid
+costs its arrivals and updates, not its T / period epochs. It then lands
+the arrivals left up to T, clamps the level to the capacity, counting
+the overflow as wasted, and tallies the log: the sums of the delays and
+of their squares, which give the reward, the smallest delay, and R(t)/t
+at the caller's checkpoints. Python checks energy conservation and that
+the smallest delay is positive. What stays the same from path to path is
+resolved once into a ``_Plan``: one per call of ``simulate_path`` or
+``run_path``, one per configuration in an ensemble, which hands it to
+``run_path`` in place of the series. The import refuses a C library
+whose ``path`` tallies a fixed set of logs otherwise than numpy does.
 
 Conventions baked in here:
 
@@ -220,41 +217,33 @@ def _load_loops(source=_SOURCE, cache=None):
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    for name, params in [("uniform_path", [i64, f64]),
-                         ("adaptive_path", [i64, f64, f64, f64]),
-                         ("unit_renewal_path", [f64])]:
-        fn = getattr(lib, name)
-        fn.argtypes = [pointer, i64, f64, *params, pointer, i64, pointer]
-        fn.restype = ctypes.c_int
-    lib.tally.argtypes = [pointer, i64, pointer, pointer, i64, pointer,
-                          pointer]
-    lib.tally.restype = None
+    pointer, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.path.argtypes = [pointer, pointer, i64, pointer, i64, pointer]
+    lib.path.restype = ctypes.c_int
     # The C tally must add in numpy's order: a numpy whose np.add.reduce
-    # sums otherwise gets the numpy tally, not different CSVs.
-    return lib if _tally_agrees(lib) else None
+    # sums otherwise gets the fallback, not different CSVs.
+    return lib if _path_agrees(lib) else None
 
 
-def _c_tally(lib, log, checkpoints, order, out):
-    """The tally of _loops.c in lib, as _tally takes its arguments."""
-    sums = (ctypes.c_double * 3)()
-    lib.tally(_address(log.epochs), log.epochs.size, _address(checkpoints),
-              _address(order), checkpoints.size, _address(out), sums)
-    return tuple(sums)
-
-
-def _tally_agrees(lib):
-    """Whether lib's tally gives the numpy tally's bits on logs whose
-    lengths take each branch of the pairwise sum: below 8, 8 to 128 and
-    split, with checkpoints unsorted, repeated, before the first epoch,
-    on an epoch and past the last."""
+def _path_agrees(lib):
+    """Whether lib's path, run as greedy renewals on arrivals at the
+    epochs of logs whose lengths take each branch of the pairwise sum
+    (below 8, 8 to 128 and split), returns those epochs with no waste and
+    aoi_metrics.tally's sums and series to the bit, at checkpoints
+    unsorted, repeated, before the first epoch, on an epoch and past the
+    last. No delay of these logs exceeds the epoch before it, so each
+    s + (a - s) is exactly a."""
     epochs = np.cumsum(1.0 / np.arange(1.0, 301.0))
     ts = np.array([7.0, 0.5, 7.0, float(epochs[8]), 3.25, 1.0e3])
-    order = np.argsort(ts, kind="stable").astype(np.int64)
+    got, want = np.empty(len(ts)), np.empty(len(ts))
+    plan = _Plan(ThresholdUnitBattery(0.0), 1, 1.0e3, ts,
+                 np.argsort(ts, kind="stable").astype(np.int64), got)
     for n in (0, 1, 7, 8, 9, 127, 128, 129, 136, 300):
         log = UpdateLog(epochs=epochs[:n])
-        want, got = np.empty(len(ts)), np.empty(len(ts))
-        if (_c_tally(lib, log, ts, order, got) != tally(log, ts, want)
+        walked = _entry(lib, plan, log.epochs, n + 1, 0)
+        if (walked[0].tobytes() != log.epochs.tobytes()
+                or walked[1:6] != (0, 0, 0, n, n)
+                or walked[6:] != tally(log, ts, want)
                 or got.tobytes() != want.tobytes()):
             return False
     return True
@@ -292,44 +281,120 @@ def _address(array):
         return array.ctypes.data
 
 
+class _CPlan(ctypes.Structure):
+    """struct plan of _loops.c."""
+
+    _fields_ = [("regime", ctypes.c_int64), ("cap", ctypes.c_int64),
+                ("horizon", ctypes.c_double), ("p", ctypes.c_double * 3),
+                ("ts", ctypes.c_void_p), ("order", ctypes.c_void_p),
+                ("n_ts", ctypes.c_int64), ("counts", ctypes.c_int64 * 6),
+                ("sums", ctypes.c_double * 3)]
+
+
+_NO_POINTS = np.empty(0)
+_NO_ORDER = np.empty(0, np.int64)
+# The loops by regime, in the order of _loops.c's enum.
+_REGIMES = (_uniform_path, _adaptive_path, _unit_renewal_path)
+
+
+class _Plan:
+    """What the paths of one checked (policy, capacity, float horizon)
+    share: the loop, its parameters, the room its schedule needs up to T,
+    and the checkpoints, the int64 order that sorts them and the float64
+    rows, one per path, that the series goes to (a 1-d row for one path).
+    Its struct plan holds the same for _loops.c and receives each C
+    call's counts and sums."""
+
+    def __init__(self, policy, capacity, horizon, checkpoints=_NO_POINTS,
+                 order=_NO_ORDER, rows=None):
+        cap = -1 if capacity is None else int(capacity)
+        if isinstance(policy, BestEffortUniform):
+            self.loop, params = _uniform_path, (float(policy.period),)
+            self.room = int(horizon / params[0]) + 2
+        elif isinstance(policy, ThresholdUnitBattery):
+            self.loop, params = _unit_renewal_path, (float(policy.tau0),)
+            self.room = math.inf  # an update per arrival at most
+        elif isinstance(policy, (EnergyAwareAdaptive, AdaptiveUnitBattery)):
+            # Delays for levels below, at and above half the battery; the
+            # B=1 variant runs at cap == 1, which validate_policy enforces.
+            beta = float(policy.beta if isinstance(policy, AdaptiveUnitBattery)
+                         else adaptive_beta(policy.k, cap))
+            self.loop = _adaptive_path
+            params = (1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta))
+            self.room = int(horizon / min(params)) + 4
+        else:
+            raise ConfigError(f"unknown policy variant {type(policy).__name__}")
+        # The Python loop's arguments between the arrivals and the epochs.
+        self.args = ((horizon, *params) if self.loop is _unit_renewal_path
+                     else (horizon, cap, *params))
+        self.horizon, self.cap = horizon, cap
+        n_ts = len(checkpoints) if rows is not None else 0
+        self.ts = checkpoints if n_ts else _NO_POINTS
+        self.rows = rows.reshape(-1, n_ts) if n_ts else None
+        # The arrays that the struct points to live as long as the plan.
+        self.order = order
+        self.c = _CPlan(_REGIMES.index(self.loop), cap, horizon,
+                        (*params, 0.0, 0.0)[:3],
+                        _address(checkpoints) if n_ts else None,
+                        _address(order) if n_ts else None, n_ts)
+        self.address = ctypes.addressof(self.c)
+        # Views of the struct's arrays, made once rather than per read.
+        self.counts, self.sums = self.c.counts, self.c.sums
+        # Row i of the series starts at series + i * stride.
+        self.series = _address(self.rows) if n_ts else 0
+        self.stride = self.rows.strides[0] if n_ts else 0
+
+
+def _entry(lib, plan, arrivals, room, i):
+    """One path of plan on the sorted float64 arrivals, with room for
+    `room` epochs in a fresh buffer (the caller keeps the log), as lib's
+    path or, with lib None, the Python loop and aoi_metrics.tally; the
+    series goes to row i. Returns (epochs, wasted, infeasible, level,
+    seen, landed, delay sum, square sum, smallest delay); a loop that
+    needs more room is a sizing bug and raises RuntimeError."""
+    epochs = np.empty(room, np.float64)
+    if lib is not None:
+        if lib.path(plan.address, _address(arrivals), arrivals.size,
+                    _address(epochs), room, plan.series + i * plan.stride):
+            raise RuntimeError(
+                f"{plan.loop.__name__} needs more than {room} epochs")
+        n_up, *counts = plan.counts[:]
+        return (epochs[:n_up], *counts, *plan.sums[:])
+    try:
+        n_up, wasted, infeasible, level, seen = plan.loop(
+            arrivals, *plan.args, epochs)
+    except IndexError:  # the memoryview refused a write past `room`
+        raise RuntimeError(
+            f"{plan.loop.__name__} needs more than {room} epochs") from None
+    # The arrivals left up to T land; a full battery loses the overflow.
+    landed = int(arrivals.searchsorted(plan.horizon, side="right"))
+    level += landed - seen
+    if plan.cap >= 0 and level > plan.cap:
+        wasted += level - plan.cap
+        level = plan.cap
+    epochs = epochs[:n_up]
+    sums = tally(UpdateLog(epochs=epochs), plan.ts,
+                 _NO_POINTS if plan.rows is None else plan.rows[i])
+    return (epochs, wasted, infeasible, level, seen, landed, *sums)
+
+
 _LOOPS = _load_loops()
 # "c" when the loops of _loops.c run, "python" for the fallback loops.
 BACKEND = "python" if _LOOPS is None else "c"
 
 
-def _walk(loop, room, arrivals, *params):
-    """Run `loop` with room for `room` epochs, as its C twin (its name
-    without the underscore) on the "c" backend. Returns (epochs, wasted,
-    infeasible, level, seen); a loop that needs more room is a sizing
-    bug and raises RuntimeError."""
-    epochs = np.empty(room, np.float64)
-    if BACKEND == "c":
-        counts = (ctypes.c_int64 * 5)()
-        full = getattr(_LOOPS, loop.__name__[1:])(
-            _address(arrivals), arrivals.size, *params, _address(epochs),
-            room, counts)
-    else:
-        try:
-            counts, full = loop(arrivals, *params, epochs), 0
-        except IndexError:  # the memoryview refused a write past `room`
-            full = -1
-    if full:
-        raise RuntimeError(f"{loop.__name__} needs more than {room} epochs")
-    n_up, wasted, infeasible, level, seen = counts
-    return epochs[:n_up], wasted, infeasible, level, seen
-
-
-_NO_POINTS = np.empty(0)
-_NO_ORDER = np.empty(0, np.int64)
-
-
-def _tally(log, checkpoints=_NO_POINTS, order=_NO_ORDER, out=_NO_POINTS):
-    """aoi_metrics.tally of the log, as the tally of _loops.c on the "c"
-    backend, which reads the checkpoints in the int64 `order` that sorts
-    them. Every array is contiguous; out is written."""
-    if BACKEND == "c":
-        return _c_tally(_LOOPS, log, checkpoints, order, out)
-    return tally(log, checkpoints, out)
+def _run(plan, arrivals, i=0):
+    """_entry on this backend, with room for every update: no more than
+    the arrivals, nor than the schedule holds up to T. Raises
+    RuntimeError unless energy is conserved."""
+    walked = _entry(_LOOPS if BACKEND == "c" else None, plan, arrivals,
+                    min(plan.room, arrivals.size + 1), i)
+    epochs, wasted, _, level, _, landed = walked[:6]
+    if landed != level + len(epochs) + wasted:
+        raise RuntimeError(f"energy not conserved: {landed} arrivals, "
+                           f"{len(epochs)} updates, {wasted} wasted, "
+                           f"level {level}")
+    return walked
 
 
 def _check_horizon(policy, horizon):
@@ -404,40 +469,7 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
                   or (arrivals[1:] < arrivals[:-1]).any()):
         raise ConfigError(
             "arrivals must be a 1-d array of finite, non-decreasing times")
-    cap = -1 if capacity is None else int(capacity)
-    # Room for every update: no more than the arrivals, nor than the
-    # schedule holds up to T.
-    room = arrivals.size + 1
-    if isinstance(policy, BestEffortUniform):
-        period = float(policy.period)
-        walked = _walk(_uniform_path, min(int(horizon / period) + 2, room),
-                       arrivals, horizon, cap, period)
-    elif isinstance(policy, ThresholdUnitBattery):
-        walked = _walk(_unit_renewal_path, room, arrivals, horizon,
-                       float(policy.tau0))
-    elif isinstance(policy, (EnergyAwareAdaptive, AdaptiveUnitBattery)):
-        # Delays for levels below, at and above half the battery; the B=1
-        # variant runs at cap == 1, which validate_policy enforces.
-        beta = float(policy.beta if isinstance(policy, AdaptiveUnitBattery)
-                     else adaptive_beta(policy.k, cap))
-        delays = (1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta))
-        walked = _walk(_adaptive_path,
-                       min(int(horizon / min(delays)) + 4, room),
-                       arrivals, horizon, cap, *delays)
-    else:
-        raise ConfigError(f"unknown policy variant {type(policy).__name__}")
-    epochs, wasted, infeasible, level, seen = walked
-    # The arrivals left up to T land; a full battery loses the overflow.
-    landed = int(arrivals.searchsorted(horizon, side="right"))
-    level += landed - seen
-    if cap >= 0 and level > cap:
-        wasted += level - cap
-        level = cap
-    if landed != level + len(epochs) + wasted:
-        raise RuntimeError(f"energy not conserved: {landed} arrivals, "
-                           f"{len(epochs)} updates, {wasted} wasted, "
-                           f"level {level}")
-    return epochs, wasted, infeasible, level
+    return _run(_Plan(policy, capacity, horizon), arrivals)[:4]
 
 
 def _unit_gammas(arrivals: np.ndarray, epochs: np.ndarray) -> np.ndarray:
@@ -457,16 +489,22 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None,
     config.rate)``. ``series``, when given, is a triple (checkpoints,
     order, row) of contiguous arrays: the checkpoints in (0, T], in any
     order, the int64 order that sorts them, and a float64 row as long,
-    into which R(t)/t at each checkpoint is written.
+    into which R(t)/t at each checkpoint is written. An ensemble passes
+    instead a pair (plan, i): the _Plan of this configuration, and the
+    row i of its series that this path writes; its arrivals are
+    sample_path's.
     """
     config.validate()
     if arrivals is None:
         arrivals = sample_path(config.seed, config.horizon, config.rate)
-    epochs, wasted, infeasible, level = simulate_path(
-        arrivals, config.policy, config.capacity, config.horizon,
-        check=False)
-    log = UpdateLog(epochs=epochs)
-    delay_sum, square_sum, smallest = _tally(log, *(series or ()))
+    if series is not None and len(series) == 2:
+        plan, i = series
+    else:
+        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+        plan, i = _Plan(config.policy, config.capacity,
+                        float(config.horizon), *(series or ())), 0
+    (epochs, wasted, infeasible, level, _, _, delay_sum, square_sum,
+     smallest) = _run(plan, arrivals, i)
     if smallest <= 0:
         raise ValueError("update epochs must be strictly increasing from 0")
     # The closed form of aoi_metrics.accumulate_reward, on the tally's sum.
@@ -476,12 +514,12 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None,
         time_avg_aoi=reward / config.horizon,
         reward=reward,
         updates=len(epochs),
-        wasted_units=int(wasted),
-        infeasible_epochs=int(infeasible),
-        final_level=int(level),
+        wasted_units=wasted,
+        infeasible_epochs=infeasible,
+        final_level=level,
         horizon=config.horizon,
         arrivals_seen=len(arrivals),
         delay_sum=delay_sum,
         square_sum=square_sum,
     )
-    return summary, log
+    return summary, UpdateLog(epochs=epochs)

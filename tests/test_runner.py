@@ -450,3 +450,84 @@ def test_figure2_draws_each_path_once(monkeypatch, tmp_path, paths):
                           run_ensemble(cfg, n, checkpoints=ts))
         assert ((tmp_path / name).read_bytes()
                 == (tmp_path / "expected.csv").read_bytes()), name
+
+
+BACKENDS = ["c", "python"] if simkernel.BACKEND == "c" else ["python"]
+
+
+def _plain_results(configs, n_paths, checkpoints, collect_idle_runs):
+    """_run_policies' results from plain run_path(cfg, arrivals) calls, each
+    with its own series triple, reduced by the same records."""
+    ts = np.ascontiguousarray(checkpoints, dtype=np.float64)
+    order = np.argsort(ts, kind="stable").astype(np.int64)
+    records = [runner._Records(cfg, n_paths, ts, order,
+                               cfg.policy.period if collect_idle_runs
+                               else None) for cfg in configs]
+    base = configs[0]
+    for i in range(n_paths):
+        arrivals = sample_path(derive_seed(base.seed, i), base.horizon,
+                               base.rate)
+        for cfg, rec in zip(configs, records):
+            row = np.full(len(ts), np.nan)
+            summary, log = run_path(cfg, arrivals,
+                                    (ts, order, row) if len(ts) else None)
+            if rec.series is not None:
+                rec.series[i] = row
+            rec.add(i, summary, log)
+    return [rec.result() for rec in records]
+
+
+def _result_bytes(result):
+    """Every field of an EnsembleResult, arrays as bytes."""
+    return [(f.name, value.tobytes() if isinstance(value, np.ndarray)
+             else repr(value))
+            for f in dataclasses.fields(result)
+            for value in [getattr(result, f.name)]]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("configs,checkpoints,idle", [
+    ([SimConfig(BestEffortUniform(1.0), None, 500.0, 8)],
+     np.linspace(12.5, 500.0, 39), False),
+    ([SimConfig(BestEffortUniform(DEFAULT_B1_UNIFORM_PERIOD), 1, 800.0, 3),
+      SimConfig(AdaptiveUnitBattery(DEFAULT_B1_BETA), 1, 800.0, 3),
+      SimConfig(ThresholdUnitBattery(0.901), 1, 800.0, 3),
+      SimConfig(EnergyAwareAdaptive(1.0), 30, 800.0, 3)],
+     [800.0, 3.5, 400.0, 3.5], False),
+    ([SimConfig(EnergyAwareAdaptive(k), cap, 600.0, 4)
+      for k in (1.0, 2.0) for cap in (30, 60)], (), False),
+    ([SimConfig(BestEffortUniform(p), None, 700.0, 5) for p in (0.7, 1.3)],
+     [700.0, 1.0], True),
+], ids=["one", "shared-paths", "no-checkpoints", "idle-runs"])
+def test_prepared_plans_give_the_plain_calls_result(backend, monkeypatch,
+                                                    configs, checkpoints,
+                                                    idle):
+    # Each configuration's plan, resolved once, gives the ensemble that
+    # plain run_path calls give, byte for byte, on every backend.
+    monkeypatch.setattr(simkernel, "BACKEND", backend)
+    plans = []
+    monkeypatch.setattr(runner, "_Plan",
+                        lambda *args: plans.append(1) or simkernel._Plan(*args))
+    got = runner._run_policies(configs, 5, checkpoints, idle)
+    assert len(plans) == len(configs)
+    want = _plain_results(configs, 5, checkpoints, idle)
+    assert [_result_bytes(r) for r in got] == [_result_bytes(r) for r in want]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_returned_logs_are_not_overwritten(backend, monkeypatch):
+    # Each call fills a fresh epoch buffer: a log run_path returned keeps
+    # its epochs through later calls, with or without a plan.
+    monkeypatch.setattr(simkernel, "BACKEND", backend)
+    cfg = SimConfig(BestEffortUniform(1.0), None, 300.0, 6)
+    ts = np.array([300.0, 10.0])
+    plan = simkernel._Plan(cfg.policy, None, 300.0, ts,
+                           np.array([1, 0], np.int64), np.empty((4, 2)))
+    paths = [sample_path(derive_seed(6, i), 300.0) for i in range(4)]
+    logs = [run_path(cfg, paths[0])[1], run_path(cfg, paths[1], (plan, 1))[1]]
+    kept = [log.epochs.tobytes() for log in logs]
+    run_path(cfg, paths[2])
+    run_path(cfg, paths[3], (plan, 3))
+    run_path(cfg, paths[2], (plan, 2))
+    assert [log.epochs.tobytes() for log in logs] == kept
+    assert logs[0].epochs.tobytes() != logs[1].epochs.tobytes()

@@ -1,5 +1,5 @@
-import ctypes
 import dataclasses
+import math
 import os
 import shutil
 import subprocess
@@ -24,6 +24,7 @@ from aoisim import (
     simulate_path,
 )
 from aoisim import simkernel
+from aoisim.aoi_metrics import running_averages
 from aoisim.cli import main as cli_main
 from aoisim.simkernel import _unit_gammas
 from reference_sim import integrate_trace, reference_on_arrivals, reference_run
@@ -269,23 +270,26 @@ def test_uniform_jump_no_arrivals(period, horizon):
                 assert (wasted, infeasible, level) == (0, n_grid, 0), backend
 
 
+def _entry_libs():
+    """_entry's first argument for every backend: the C library, or None
+    for the Python loops."""
+    return [simkernel._LOOPS if b == "c" else None for b in BACKENDS]
+
+
 def test_uniform_jump_then_short_epoch_buffer():
     # A jump over a long idle run does not skip the room check: the
-    # updates after it still stop at the room given, and _walk raises.
+    # updates after it still stop at the room given, and _entry raises.
     arrivals = 5000.0 + np.arange(10) * 0.5
+    plan = simkernel._Plan(BestEffortUniform(0.1), None, 6000.0)
     if simkernel.BACKEND == "c":
         out = np.full(8, -7.0)
-        counts = (ctypes.c_int64 * 5)()
-        assert simkernel._LOOPS.uniform_path(
-            arrivals.ctypes.data, arrivals.size, 6000.0, -1, 0.1,
-            out.ctypes.data, 3, counts) == -1
+        assert simkernel._LOOPS.path(
+            plan.address, arrivals.ctypes.data, arrivals.size,
+            out.ctypes.data, 3, None) == -1
         assert np.all(out[:3] > 5000.0) and np.all(out[3:] == -7.0)
-    for backend in BACKENDS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simkernel, "BACKEND", backend)
-            with pytest.raises(RuntimeError, match="more than 3 epochs"):
-                simkernel._walk(simkernel._uniform_path, 3, arrivals, 6000.0,
-                                -1, 0.1)
+    for lib in _entry_libs():
+        with pytest.raises(RuntimeError, match="more than 3 epochs"):
+            simkernel._entry(lib, plan, arrivals, 3, 0)
 
 
 @st.composite
@@ -349,18 +353,18 @@ def test_arrivals_after_horizon_never_land(policy, capacity):
 
 def test_broken_kernel_is_a_bug_not_a_usage_error(tmp_path):
     # A kernel that miscounts waste breaks energy conservation, which
-    # simulate_path checks once for every policy: a RuntimeError, never
-    # a ConfigError that the CLI would turn into exit 2. Every loop, on
-    # every backend, is reached through _walk.
-    walk = simkernel._walk
+    # simulate_path and run_path check once for every policy: a
+    # RuntimeError, never a ConfigError that the CLI would turn into exit
+    # 2. Every path, on every backend, is one call of _entry.
+    entry = simkernel._entry
 
     def leaky(*args):
-        epochs, wasted, *rest = walk(*args)
+        epochs, wasted, *rest = entry(*args)
         return (epochs, wasted + 1, *rest)
     for backend in BACKENDS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simkernel, "BACKEND", backend)
-            mp.setattr(simkernel, "_walk", leaky)
+            mp.setattr(simkernel, "_entry", leaky)
             with pytest.raises(RuntimeError, match="energy not conserved"):
                 simulate_path(np.array([0.5, 2.0]), ThresholdUnitBattery(0.0),
                               1, 3.0)
@@ -370,29 +374,92 @@ def test_broken_kernel_is_a_bug_not_a_usage_error(tmp_path):
                           str(tmp_path / f"{backend}.csv")])
 
 
-@pytest.mark.parametrize("loop,params", [
-    ("uniform_path", (3, 1.0)),
-    ("adaptive_path", (3, 2.0, 1.0, 0.5)),
-    ("unit_renewal_path", (0.0,)),
+@pytest.mark.parametrize("policy,capacity", [
+    (BestEffortUniform(1.0), 3),
+    (EnergyAwareAdaptive(1.0), 3),
+    (ThresholdUnitBattery(0.0), 1),
 ], ids=["uniform", "adaptive", "renewal"])
-def test_short_epoch_buffer_is_a_bug_not_a_crash(loop, params):
+def test_short_epoch_buffer_is_a_bug_not_a_crash(policy, capacity):
     # Each C loop stops at the room it is given, says so, and writes
-    # nothing past it; on every backend _walk turns a loop that runs out
+    # nothing past it; on every backend _entry turns a loop that runs out
     # of room into a RuntimeError.
     arrivals = np.arange(1, 50) - 0.5
+    ts = np.array([50.0, 1.0])
+    rows = np.full(2, -7.0)
+    plan = simkernel._Plan(policy, capacity, 50.0, ts,
+                           np.array([1, 0], np.int64), rows)
     if simkernel.BACKEND == "c":
-        fn = getattr(simkernel._LOOPS, loop)
         out = np.full(8, -7.0)
-        counts = (ctypes.c_int64 * 5)()
-        assert fn(arrivals.ctypes.data, arrivals.size, 50.0, *params,
-                  out.ctypes.data, 3, counts) == -1
+        assert simkernel._LOOPS.path(
+            plan.address, arrivals.ctypes.data, arrivals.size,
+            out.ctypes.data, 3, rows.ctypes.data) == -1
         assert np.all(out[:3] > 0) and np.all(out[3:] == -7.0)
-    for backend in BACKENDS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simkernel, "BACKEND", backend)
-            with pytest.raises(RuntimeError, match="more than 3 epochs"):
-                simkernel._walk(getattr(simkernel, f"_{loop}"), 3, arrivals,
-                                50.0, *params)
+        assert np.all(rows == -7.0)  # nor tallied
+    for lib in _entry_libs():
+        with pytest.raises(RuntimeError, match="more than 3 epochs"):
+            simkernel._entry(lib, plan, arrivals, 3, 0)
+
+
+# Each regime at every battery among inf, 1, 2 and 30 that it runs at.
+ENTRY_POLICIES = [
+    *((BestEffortUniform(p), c) for p in (0.43, 1.0) for c in (None, 1, 2, 30)),
+    (EnergyAwareAdaptive(1.0), 2),
+    (EnergyAwareAdaptive(1.0), 30),
+    (EnergyAwareAdaptive(2.0), 30),
+    (AdaptiveUnitBattery(-0.145), 1),
+    (AdaptiveUnitBattery(0.3), 1),
+    (ThresholdUnitBattery(0.0), 1),
+    (ThresholdUnitBattery(0.901), 1),
+]
+
+
+@st.composite
+def _entry_cases(draw):
+    """(policy, capacity, horizon, arrivals, checkpoints) for one path call:
+    the loops' arrivals with some past T, and checkpoints in (0, T],
+    unsorted, some repeated, one of them T itself at times."""
+    policy, capacity = draw(st.sampled_from(ENTRY_POLICIES))
+    horizon, arrivals = draw(_loop_arrivals())
+    late = draw(st.lists(st.floats(horizon, 2.0 * horizon, exclude_min=True),
+                         max_size=3))
+    arrivals = np.sort(np.concatenate([arrivals, late]))
+    ts = [f * horizon for f in draw(st.lists(
+        st.floats(1e-3, 1.0), max_size=8))]
+    ts += draw(st.lists(st.sampled_from(ts), max_size=3)) if ts else []
+    return policy, capacity, horizon, arrivals, np.array(ts, np.float64)
+
+
+@given(case=_entry_cases())
+@example(case=(BestEffortUniform(1.0), 2, 3.0, np.array([0.5, 0.6, 0.7, 4.0]),
+               np.array([3.0, 0.5, 3.0])))
+def test_entry_matches_reference(case):
+    # One path call on every backend: its epochs, counts, sums and series
+    # are the reference simulator's run and the definition's tally of it,
+    # bit for bit, and it writes only its own row of the series.
+    policy, capacity, horizon, arrivals, ts = case
+    ref = reference_on_arrivals(arrivals, policy, capacity, horizon)
+    log = UpdateLog(epochs=np.asarray(ref.epochs, dtype=np.float64))
+    want = (log.epochs.tobytes(), ref.wasted, ref.infeasible,
+            ref.final_level,
+            int(arrivals.searchsorted(horizon, side="right")),
+            float(np.add.reduce(log.delays)), float(np.add.reduce(log.squares)),
+            float(log.delays.min()) if log.n else math.inf)
+    series = running_averages(log, ts).tobytes()
+    seen = set()
+    for lib in _entry_libs():
+        rows = np.full((3, len(ts)), np.nan)
+        plan = simkernel._Plan(policy, capacity, horizon, ts,
+                               np.argsort(ts, kind="stable").astype(np.int64),
+                               rows)
+        epochs, wasted, infeasible, level, n_seen, landed, *sums = (
+            simkernel._entry(lib, plan, arrivals,
+                             min(plan.room, arrivals.size + 1), 1))
+        assert (epochs.tobytes(), wasted, infeasible, level, landed,
+                *sums) == want, lib
+        assert rows[1].tobytes() == series, lib
+        assert np.isnan(rows[[0, 2]]).all(), lib
+        seen.add(n_seen)
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0,
@@ -401,7 +468,7 @@ def test_bad_horizon_is_a_usage_error(horizon, monkeypatch):
     # simulate_path bounds its horizon as SimConfig.validate does, with or
     # without the arrivals scan, before any loop runs: no loop stops at a
     # NaN horizon, which every comparison fails.
-    monkeypatch.setattr(simkernel, "_walk", None)
+    monkeypatch.setattr(simkernel, "_entry", None)
     for policy, capacity in ALL_POLICIES:
         for check in (True, False):
             with pytest.raises(ConfigError, match="horizon must lie in"):
@@ -411,7 +478,7 @@ def test_bad_horizon_is_a_usage_error(horizon, monkeypatch):
 
 def test_too_dense_grid_is_a_usage_error(monkeypatch):
     # 1e13 grid epochs up to T=1e7: refused before the loop would walk them.
-    monkeypatch.setattr(simkernel, "_walk", None)
+    monkeypatch.setattr(simkernel, "_entry", None)
     for capacity in (None, 1, 3):
         with pytest.raises(ConfigError, match="too dense"):
             simulate_path(np.array([0.5]), BestEffortUniform(1e-6), capacity,

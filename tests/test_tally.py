@@ -1,6 +1,7 @@
-"""The per-path tally: the C pass of _loops.c against the numpy definition
-in aoi_metrics, the checkpoint series it writes, its memory, and the
-import-time check that refuses a C tally numpy disagrees with."""
+"""The per-path tally: the C pass of _loops.c, reached through the one
+call per path, against the numpy definition in aoi_metrics, the
+checkpoint series it writes, its memory, and the import-time check that
+refuses a C tally numpy disagrees with."""
 
 import os
 import subprocess
@@ -47,13 +48,22 @@ def _order(ts):
 
 
 def assert_c_tally_is_numpy(epochs, ts):
-    """The C tally and the numpy one agree bit for bit: both sums, the
-    smallest delay and the series."""
-    log = UpdateLog(epochs=np.asarray(epochs, dtype=np.float64))
+    """The C tally, as the C path call runs it on the log of greedy
+    renewals at arrivals on the epochs, and the numpy one on the same log
+    agree bit for bit: both sums, the smallest delay and the series. The
+    log is as long as the epochs, and equal to them up to the rounding of
+    s + (a - s) where a delay exceeds the epoch before it."""
+    arrivals = np.asarray(epochs, dtype=np.float64)
     ts = np.asarray(ts, dtype=np.float64)
     got, want = np.full(len(ts), np.nan), np.full(len(ts), np.nan)
-    c_sums = simkernel._c_tally(simkernel._LOOPS, log, ts, _order(ts), got)
-    assert c_sums == tally(log, ts, want)
+    horizon = float(max([arrivals[-1] + 1.0 if len(arrivals) else 1.0, *ts]))
+    plan = simkernel._Plan(ThresholdUnitBattery(0.0), 1, horizon, ts,
+                           _order(ts), got)
+    walked = simkernel._entry(simkernel._LOOPS, plan, arrivals,
+                              arrivals.size + 1, 0)
+    log = UpdateLog(epochs=walked[0])
+    assert log.n == len(arrivals)
+    assert tuple(walked[6:]) == tally(log, ts, want)
     assert got.tobytes() == want.tobytes()
 
 
@@ -124,13 +134,19 @@ def test_run_path_sums_are_the_definition(backend, monkeypatch):
 
 
 def test_run_path_refuses_a_log_that_does_not_increase(monkeypatch):
-    # The tally's smallest delay stands in for UpdateLog.validate.
-    def stuck(*args, **kwargs):
-        return np.array([1.0, 1.0]), 0, 0, 0
-    monkeypatch.setattr(simkernel, "simulate_path", stuck)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        run_path(SimConfig(BestEffortUniform(1.0), None, 3.0, 1),
-                 np.array([0.5, 0.7]))
+    # The tally's smallest delay stands in for UpdateLog.validate: a path
+    # call that returns two updates at one epoch, with energy conserved,
+    # and the definition's tally of them, is refused on every backend.
+    def stuck(lib, plan, arrivals, room, i):
+        epochs = np.array([1.0, 1.0])
+        return (epochs, 0, 0, 0, 2, 2,
+                *tally(UpdateLog(epochs=epochs), plan.ts, plan.ts.copy()))
+    monkeypatch.setattr(simkernel, "_entry", stuck)
+    for backend in BACKENDS:
+        monkeypatch.setattr(simkernel, "BACKEND", backend)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_path(SimConfig(BestEffortUniform(1.0), None, 3.0, 1),
+                     np.array([0.5, 0.7]))
 
 
 @c_only
