@@ -1,13 +1,16 @@
 /* One path of one policy in one call: the three per-epoch loops of
    aoisim.simkernel, statement for statement, the settling of the battery
    at T, and the per-path tally that aoisim.aoi_metrics.tally defines in
-   numpy.
+   numpy. Also the uniforms of numpy's Philox generator, a chunk of paths
+   at a time, for aoisim.arrivals.sample_rows.
 
    simkernel compiles this file on first import with
        cc -O2 -std=c99 -fPIC -shared -ffp-contract=off
-   and calls `path` through ctypes, once per path and policy; its Python
-   loops and the numpy tally are the fallback when no compiler is
-   available, and the oracles the tests compare against.
+   and calls `path` through ctypes, once per path and policy, and
+   `philox` once per chunk of paths; its Python loops, the numpy tally and
+   numpy's Philox are the fallback when no compiler is available, and the
+   oracles the tests compare against. The import refuses a library whose
+   tally or uniforms differ from numpy's.
 
    The results are bit-identical to the Python loops. Python floats are C
    doubles, and every floating-point operation below is one IEEE add,
@@ -139,14 +142,16 @@ static int adaptive_path(const double *arr, int64_t n_arr, double horizon,
 }
 
 /* B=1 threshold renewals: each update consumes the first arrival after the
-   previous update; later arrivals before the update are wasted. */
+   previous update; later arrivals before the update are wasted. An
+   arrival past T never triggers one, although s + (a - s) may round down
+   to T. */
 static int unit_renewal_path(const double *arr, int64_t n_arr,
                              double horizon, double tau0, double *out,
                              int64_t room, int64_t *counts)
 {
     int64_t idx = 0, n_up = 0, wasted = 0;
     double s = 0.0;
-    while (idx < n_arr) {
+    while (idx < n_arr && arr[idx] <= horizon) {
         double gamma = arr[idx] - s;
         double x = gamma > tau0 ? gamma : tau0;
         double s_next = s + x;
@@ -320,13 +325,9 @@ int path(struct plan *pl, const double *arr, int64_t n_arr, double *out,
                                  room, c);
     if (full)
         return full;
-    /* A renewal's s + (a - s) may round below an arrival a past T, so the
-       scan also steps back over arrivals seen past T. */
     landed = c[4];
     while (landed < n_arr && arr[landed] <= pl->horizon)
         landed++;
-    while (landed > 0 && arr[landed - 1] > pl->horizon)
-        landed--;
     c[3] += landed - c[4];
     if (pl->cap >= 0 && c[3] > pl->cap) {
         c[1] += c[3] - pl->cap;
@@ -335,4 +336,61 @@ int path(struct plan *pl, const double *arr, int64_t n_arr, double *out,
     c[5] = landed;
     tally(out, c[0], pl->ts, pl->order, pl->n_ts, series, pl->sums);
     return 0;
+}
+
+
+/* The multipliers and key increments of Philox4x64. */
+#define PHILOX_M0 0xD2E7470EE14C6C93u
+#define PHILOX_M1 0xCA5A826395121157u
+#define PHILOX_W0 0x9E3779B97F4A7C15u
+#define PHILOX_W1 0xBB67AE8584CAA73Bu
+
+/* High 64 bits of the 128-bit product a * b. */
+static uint64_t mulhi(uint64_t a, uint64_t b)
+{
+#ifdef __SIZEOF_INT128__
+    return (uint64_t)(((unsigned __int128)a * b) >> 64);
+#else
+    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu,
+             b1 = b >> 32, m0 = a0 * b0, m1 = a1 * b0, m2 = a0 * b1;
+    uint64_t mid = (m0 >> 32) + (m1 & 0xFFFFFFFFu) + (m2 & 0xFFFFFFFFu);
+    return a1 * b1 + (m1 >> 32) + (m2 >> 32) + (mid >> 32);
+#endif
+}
+
+/* Row r of the n_rows x n_cols `out` gets the first n_cols uniforms of
+   np.random.Generator(np.random.Philox(key=keys[r])).random: Philox4x64
+   with 10 rounds (Salmon, Moraes, Dror and Shaw, "Parallel random
+   numbers: as easy as 1, 2, 3", SC 2011) as numpy's philox_next runs it.
+   The key is (keys[r], 0) and the counter starts at 0 and is incremented,
+   with carry, before each block of four outputs; each 64-bit output x
+   gives the uniform (x >> 11) * 2**-53, exact in a double. */
+void philox(const uint64_t *keys, int64_t n_rows, double *out,
+            int64_t n_cols)
+{
+    for (int64_t r = 0; r < n_rows; r++) {
+        uint64_t ctr[4] = {0, 0, 0, 0};
+        double *row = out + r * n_cols;
+        for (int64_t j = 0; j < n_cols; j += 4) {
+            uint64_t x[4], k0 = keys[r], k1 = 0;
+            if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
+                ++ctr[3];
+            x[0] = ctr[0];
+            x[1] = ctr[1];
+            x[2] = ctr[2];
+            x[3] = ctr[3];
+            for (int round = 0; round < 10; round++) {
+                uint64_t hi0 = mulhi(PHILOX_M0, x[0]), lo0 = PHILOX_M0 * x[0],
+                         hi1 = mulhi(PHILOX_M1, x[2]), lo1 = PHILOX_M1 * x[2];
+                x[0] = hi1 ^ x[1] ^ k0;
+                x[1] = lo1;
+                x[2] = hi0 ^ x[3] ^ k1;
+                x[3] = lo0;
+                k0 += PHILOX_W0;
+                k1 += PHILOX_W1;
+            }
+            for (int k = 0; k < 4 && j + k < n_cols; k++)
+                row[j + k] = (double)(x[k] >> 11) * 0x1.0p-53;
+        }
+    }
 }

@@ -10,10 +10,12 @@ of their parameter. A policy comparison and a battery sweep draw each
 path once and run every policy, or every (k, B) cell, on it. The two
 simulated objectives keep the paths they draw in their first evaluation,
 while their buffers fit in _DRAWN_BYTES (256 MiB, 200 paths of T=1e5),
-and run every later evaluation on them: a search draws each path once,
-and the cache dies with its objective. Each path's arrivals come from
-the thread's one Philox generator, reset to (key=seed, counter 0) for
-the path, which gives the same bits as a freshly built generator. Each
+and run every later evaluation on them: a search draws each path once.
+All the objectives alive on one (seed, horizon) share one such store,
+which dies with the last of them. Paths are drawn a chunk of
+rows at a time by arrivals.sample_rows, as many as fit in its
+_CHUNK_BYTES (256 KiB: 58 paths of T=500, one of T=1e5), with the C
+Philox on the "c" backend; each row holds sample_path's bits. Each
 configuration's simkernel plan (its loop, parameters, checkpoints and
 series rows) is resolved once, and run_path runs path i of it in one
 call. A path's record is what that call's tally leaves: the time
@@ -25,12 +27,13 @@ themselves are formed only for idle-run collection.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytics import AOI_LOWER_BOUND, adaptive_gap_bound, optimal_threshold
-from .arrivals import derive_seed, sample_path
+from .arrivals import chunk_rows, derive_seed, sample_rows
 # running_averages stays importable from here, where perfbench spans it.
 from .aoi_metrics import UpdateLog, running_averages  # noqa: F401
 from .policies import (
@@ -42,7 +45,7 @@ from .policies import (
     adaptive_beta,
 )
 from .search import golden_section
-from .simkernel import SimConfig, SimSummary, _Plan, run_path
+from .simkernel import SimConfig, SimSummary, _fill, _Plan, run_path
 
 # Numerically optimized parameters used by the three-policy B=1 comparison.
 DEFAULT_B1_UNIFORM_PERIOD = 0.43
@@ -139,6 +142,38 @@ class _Records:
 _DRAWN_BYTES = 256 << 20
 
 
+def _pinned(arrivals: np.ndarray) -> int:
+    """Bytes that keeping these arrivals holds: its buffer's, if a view."""
+    return (arrivals if arrivals.base is None else arrivals.base).nbytes
+
+
+def _paths(base: SimConfig, n_paths: int, drawn):
+    """Path i's arrivals for i in 0..n-1: drawn[i] while drawn has it,
+    then each later path drawn a chunk of paths at a time. When drawn is
+    a list, the paths drawn here are appended to it, in order, while the
+    bytes that all of its paths pin fit in _DRAWN_BYTES; a path that
+    shares its chunk with others is kept as a copy, so that it pins its
+    own bytes and not the chunk's."""
+    yield from drawn[:n_paths]
+    keep = isinstance(drawn, list)
+    held = sum(map(_pinned, drawn)) if keep else 0
+    per = chunk_rows(base.horizon, base.rate)
+    for start in range(len(drawn), n_paths, per):
+        seeds = [derive_seed(base.seed, i)
+                 for i in range(start, min(start + per, n_paths))]
+        for arrivals in sample_rows(seeds, base.horizon, base.rate,
+                                    _fill()):
+            if keep:
+                if per > 1:
+                    arrivals = arrivals.copy()
+                held += _pinned(arrivals)
+                # The first path that does not fit ends the keeping.
+                keep = held <= _DRAWN_BYTES
+                if keep:
+                    drawn.append(arrivals)
+            yield arrivals
+
+
 def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
                   collect_idle_runs: bool = False, *,
                   drawn=()) -> list[EnsembleResult]:
@@ -148,10 +183,8 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
     policy and capacity: path i's arrivals are drawn once and every
     policy runs on them. Path i < len(drawn) runs on drawn[i], which
     must be what sample_path gives for it; every other path is drawn
-    through this module's sample_path, after every configuration has
-    been checked. When drawn is a list, the paths drawn here are appended
-    to it, in order, while the buffers of all its paths fit in
-    _DRAWN_BYTES; sample_path returns a view, and its base is the buffer.
+    through this module's sample_rows, after every configuration has
+    been checked. A list drawn keeps the paths drawn here as _paths says.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
@@ -172,26 +205,14 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
     records = [_Records(cfg, n_paths, ts, order,
                         cfg.policy.period if collect_idle_runs else None)
                for cfg in configs]
-    keep = isinstance(drawn, list)
-    held = sum(a.base.nbytes for a in drawn) if keep else 0
-    for i in range(n_paths):
-        # The previous path's arrivals (unless drawn holds them) and log
-        # are freed as they are replaced. Freeing them before this draw
-        # would save one epoch buffer of peak memory, but malloc would
-        # then return the heap top after each path, and the next path
-        # would fault its pages in again: a fig3 command (6 paths of
-        # T=1e5, 8 cells) takes 3336 minor faults that way against 838
-        # this way, and a fig5 command 1989 against 1212.
-        if i < len(drawn):
-            arrivals = drawn[i]
-        else:
-            arrivals = sample_path(derive_seed(base.seed, i), base.horizon,
-                                   base.rate)
-            if keep:
-                # The first path that does not fit ends the keeping.
-                held += arrivals.base.nbytes
-                if held <= _DRAWN_BYTES:
-                    drawn.append(arrivals)
+    # The previous chunk (unless drawn holds its paths) and log are freed
+    # as they are replaced. Freeing them before the next draw would save
+    # one epoch buffer of peak memory, but malloc would then return the
+    # heap top after each path, and the next path would fault its pages
+    # in again: a fig3 command (6 paths of T=1e5, 8 cells) takes 3336
+    # minor faults that way against 838 this way, and a fig5 command 1989
+    # against 1212.
+    for i, arrivals in enumerate(_paths(base, n_paths, drawn)):
         for cfg, rec in zip(configs, records):
             summary, log = run_path(cfg, arrivals, (rec.plan, i))
             rec.add(i, summary, log)
@@ -271,12 +292,28 @@ def optimize_scalar(objective, bracket: tuple[float, float],
     return ScalarOptimum(arg=arg, value=value, flat=flat, evaluations=evals)
 
 
+class _Store(list):
+    """The paths that the objectives on one stream keep."""
+
+
+_STORES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _store(seed: int, horizon: float) -> list:
+    """The list of drawn paths shared by every live objective on (seed,
+    horizon), all at rate 1: a new one when none is alive."""
+    store = _STORES.get((seed, horizon))
+    if store is None:
+        store = _STORES[seed, horizon] = _Store()
+    return store
+
+
 def unit_uniform_period_objective(horizon: float, n_paths: int,
                                   base_seed: int):
     """Ensemble-mean age of the B=1 uniform policy as a function of period,
     on common random numbers. The objective keeps the paths it draws, up
-    to _DRAWN_BYTES, for its later evaluations."""
-    drawn: list[np.ndarray] = []
+    to _DRAWN_BYTES, for its later evaluations, in its stream's store."""
+    drawn = _store(base_seed, horizon)
 
     def objective(period: float) -> float:
         cfg = SimConfig(policy=BestEffortUniform(period=period), capacity=1,
@@ -288,8 +325,8 @@ def unit_uniform_period_objective(horizon: float, n_paths: int,
 def unit_beta_objective(horizon: float, n_paths: int, base_seed: int):
     """Ensemble-mean age of the B=1 adaptive policy as a function of beta,
     on common random numbers. The objective keeps the paths it draws, up
-    to _DRAWN_BYTES, for its later evaluations."""
-    drawn: list[np.ndarray] = []
+    to _DRAWN_BYTES, for its later evaluations, in its stream's store."""
+    drawn = _store(base_seed, horizon)
 
     def objective(beta: float) -> float:
         cfg = SimConfig(policy=AdaptiveUnitBattery(beta=beta), capacity=1,

@@ -26,8 +26,13 @@ at the caller's checkpoints. Python checks energy conservation and that
 the smallest delay is positive. What stays the same from path to path is
 resolved once into a ``_Plan``: one per call of ``simulate_path`` or
 ``run_path``, one per configuration in an ensemble, which hands it to
-``run_path`` in place of the series. The import refuses a C library
-whose ``path`` tallies a fixed set of logs otherwise than numpy does.
+``run_path`` in place of the series, with its configurations checked and
+its arrivals sorted by construction, so that neither is checked again
+per path. On "c", ``_fill`` hands ``arrivals.sample_rows`` the Philox of
+``_loops.c``, which draws the uniforms of a chunk of paths in one call.
+The import refuses a C library whose ``path`` tallies a fixed set of
+logs otherwise than numpy does, or whose ``philox`` gives other uniforms
+than numpy's Philox.
 
 Conventions baked in here:
 
@@ -164,7 +169,9 @@ def _adaptive_path(arrivals, horizon, cap, d_low, d_mid, d_high, epochs):
 
 def _unit_renewal_path(arrivals, horizon, tau0, epochs):
     """B=1 threshold renewals: each update consumes the first arrival after
-    the previous update; later arrivals before the update are wasted."""
+    the previous update; later arrivals before the update are wasted. An
+    arrival past T never triggers one, although s + (a - s) may round
+    down to T."""
     n_arr = arrivals.shape[0]
     arr = memoryview(arrivals)
     out = memoryview(epochs)
@@ -172,7 +179,7 @@ def _unit_renewal_path(arrivals, horizon, tau0, epochs):
     n_up = 0
     wasted = 0
     s = 0.0
-    while idx < n_arr:
+    while idx < n_arr and arr[idx] <= horizon:
         gamma = arr[idx] - s
         x = gamma if gamma > tau0 else tau0
         s_next = s + x
@@ -220,9 +227,11 @@ def _load_loops(source=_SOURCE, cache=None):
     pointer, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.path.argtypes = [pointer, pointer, i64, pointer, i64, pointer]
     lib.path.restype = ctypes.c_int
-    # The C tally must add in numpy's order: a numpy whose np.add.reduce
-    # sums otherwise gets the fallback, not different CSVs.
-    return lib if _path_agrees(lib) else None
+    lib.philox.argtypes = [pointer, i64, pointer, i64]
+    lib.philox.restype = None
+    # The C tally must add in numpy's order, and the C Philox give numpy's
+    # uniforms: otherwise the fallback runs, not different CSVs.
+    return lib if _path_agrees(lib) and _philox_agrees(lib) else None
 
 
 def _path_agrees(lib):
@@ -247,6 +256,30 @@ def _path_agrees(lib):
                 or got.tobytes() != want.tobytes()):
             return False
     return True
+
+
+# numpy's Philox bits, recorded: zlib.crc32 over the bytes of
+# np.random.Generator(np.random.Philox(key=k)).random(n) for each length n
+# and, within it, each key k in turn. Drawing them here would import
+# numpy.random, and with it hashlib and OpenSSL, on every import;
+# tests/test_arrivals.py checks the record against numpy.
+_PHILOX_KEYS = (0, 1, 1 << 63, (1 << 64) - 1)
+_PHILOX_LENGTHS = (1, 2, 3, 5, 10, 563)
+_PHILOX_CRC = 0x56464BAD
+
+
+def _philox_agrees(lib):
+    """Whether lib's philox gives numpy's Philox uniforms to the bit, for
+    keys at both ends of 64 bits and at the top bit, in rows of every
+    length mod 4, within one block of four and over several. The
+    counter's carry past 2**64 blocks cannot be reached here."""
+    keys = np.array(_PHILOX_KEYS, np.uint64)
+    crc = 0
+    for n in _PHILOX_LENGTHS:
+        chunk = np.empty((len(keys), n))
+        lib.philox(_address(keys), len(keys), _address(chunk), n)
+        crc = zlib.crc32(chunk.tobytes(), crc)
+    return crc == _PHILOX_CRC
 
 
 def _build(cc, source, cache, path):
@@ -347,11 +380,14 @@ class _Plan:
 
 def _entry(lib, plan, arrivals, room, i):
     """One path of plan on the sorted float64 arrivals, with room for
-    `room` epochs in a fresh buffer (the caller keeps the log), as lib's
-    path or, with lib None, the Python loop and aoi_metrics.tally; the
-    series goes to row i. Returns (epochs, wasted, infeasible, level,
-    seen, landed, delay sum, square sum, smallest delay); a loop that
-    needs more room is a sizing bug and raises RuntimeError."""
+    `room` epochs in a fresh buffer (the caller keeps the log), or for one
+    more than the arrivals if that is less, since no update goes without
+    one; as lib's path or, with lib None, the Python loop and
+    aoi_metrics.tally; the series goes to row i. Returns (epochs, wasted,
+    infeasible, level, seen, landed, delay sum, square sum, smallest
+    delay); a loop that needs more room is a sizing bug and raises
+    RuntimeError."""
+    room = min(room, arrivals.size + 1)
     epochs = np.empty(room, np.float64)
     if lib is not None:
         if lib.path(plan.address, _address(arrivals), arrivals.size,
@@ -383,18 +419,22 @@ _LOOPS = _load_loops()
 BACKEND = "python" if _LOOPS is None else "c"
 
 
-def _run(plan, arrivals, i=0):
-    """_entry on this backend, with room for every update: no more than
-    the arrivals, nor than the schedule holds up to T. Raises
-    RuntimeError unless energy is conserved."""
-    walked = _entry(_LOOPS if BACKEND == "c" else None, plan, arrivals,
-                    min(plan.room, arrivals.size + 1), i)
-    epochs, wasted, _, level, _, landed = walked[:6]
-    if landed != level + len(epochs) + wasted:
-        raise RuntimeError(f"energy not conserved: {landed} arrivals, "
-                           f"{len(epochs)} updates, {wasted} wasted, "
-                           f"level {level}")
-    return walked
+def _fill():
+    """The fill of arrivals.sample_rows on this backend: _loops.c's
+    philox on "c", and None, numpy's Philox row by row, on "python"."""
+    return _philox if BACKEND == "c" else None
+
+
+def _philox(keys, chunk):
+    """Row r of the float64 chunk gets the first uniforms of the Philox
+    stream keyed keys[r], from _loops.c."""
+    _LOOPS.philox(_address(keys), len(keys), _address(chunk), chunk.shape[1])
+
+
+def _unconserved(landed, updates, wasted, level):
+    """The RuntimeError of a path whose energy does not add up."""
+    return RuntimeError(f"energy not conserved: {landed} arrivals, "
+                        f"{updates} updates, {wasted} wasted, level {level}")
 
 
 def _check_horizon(policy, horizon):
@@ -434,7 +474,8 @@ class SimConfig:
 @dataclass
 class SimSummary:
     """Per-path outcome: time-average age, the sums of the delays and of
-    their squares, and energy accounting."""
+    their squares, and energy accounting. The arrivals seen are those that
+    land by T, final_level + updates + wasted_units of them."""
 
     time_avg_aoi: float
     reward: float
@@ -464,12 +505,25 @@ def simulate_path(arrivals: np.ndarray, policy: Policy,
     # loops; float() of a numpy float64 is exact, so results do not change.
     horizon = float(horizon)
     _check_horizon(policy, horizon)
+    arrivals = (_sorted(arrivals) if check
+                else np.ascontiguousarray(arrivals, dtype=np.float64))
+    plan = _Plan(policy, capacity, horizon)
+    epochs, wasted, infeasible, level, _, landed = _entry(
+        _LOOPS if BACKEND == "c" else None, plan, arrivals, plan.room, 0)[:6]
+    if landed != level + len(epochs) + wasted:
+        raise _unconserved(landed, len(epochs), wasted, level)
+    return epochs, wasted, infeasible, level
+
+
+def _sorted(arrivals):
+    """The arrivals as a contiguous float64 array; ConfigError unless they
+    are a 1-d array of finite, non-decreasing times."""
     arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
-    if check and (arrivals.ndim != 1 or not np.isfinite(arrivals).all()
-                  or (arrivals[1:] < arrivals[:-1]).any()):
+    if (arrivals.ndim != 1 or not np.isfinite(arrivals).all()
+            or (arrivals[1:] < arrivals[:-1]).any()):
         raise ConfigError(
             "arrivals must be a 1-d array of finite, non-decreasing times")
-    return _run(_Plan(policy, capacity, horizon), arrivals)[:4]
+    return arrivals
 
 
 def _unit_gammas(arrivals: np.ndarray, epochs: np.ndarray) -> np.ndarray:
@@ -484,27 +538,31 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None,
     """Simulate one sample path up to the horizon.
 
     ``arrivals``, when given, are used as they are and ``config.seed`` is
-    not read, so one draw can serve several policies. By default they are
-    drawn here with ``sample_path(config.seed, config.horizon,
-    config.rate)``. ``series``, when given, is a triple (checkpoints,
-    order, row) of contiguous arrays: the checkpoints in (0, T], in any
-    order, the int64 order that sorts them, and a float64 row as long,
-    into which R(t)/t at each checkpoint is written. An ensemble passes
-    instead a pair (plan, i): the _Plan of this configuration, and the
-    row i of its series that this path writes; its arrivals are
-    sample_path's.
+    not read, so one draw can serve several policies; they must be a 1-d
+    array of finite, non-decreasing times, or ConfigError is raised. By
+    default they are drawn here with ``sample_path(config.seed,
+    config.horizon, config.rate)``. ``series``, when given, is a triple
+    (checkpoints, order, row) of contiguous arrays: the checkpoints in
+    (0, T], in any order, the int64 order that sorts them, and a float64
+    row as long, into which R(t)/t at each checkpoint is written. An
+    ensemble passes instead a pair (plan, i): the _Plan of this
+    configuration, which the ensemble has checked, and the row i of its
+    series that this path writes; its arrivals are sample_path's, and
+    neither is checked again here.
     """
-    config.validate()
-    if arrivals is None:
-        arrivals = sample_path(config.seed, config.horizon, config.rate)
     if series is not None and len(series) == 2:
         plan, i = series
     else:
-        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+        config.validate()
+        arrivals = (sample_path(config.seed, config.horizon, config.rate)
+                    if arrivals is None else _sorted(arrivals))
         plan, i = _Plan(config.policy, config.capacity,
                         float(config.horizon), *(series or ())), 0
-    (epochs, wasted, infeasible, level, _, _, delay_sum, square_sum,
-     smallest) = _run(plan, arrivals, i)
+    (epochs, wasted, infeasible, level, _, landed, delay_sum, square_sum,
+     smallest) = _entry(_LOOPS if BACKEND == "c" else None, plan, arrivals,
+                        plan.room, i)
+    if landed != level + len(epochs) + wasted:
+        raise _unconserved(landed, len(epochs), wasted, level)
     if smallest <= 0:
         raise ValueError("update epochs must be strictly increasing from 0")
     # The closed form of aoi_metrics.accumulate_reward, on the tally's sum.
@@ -518,7 +576,7 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None,
         infeasible_epochs=infeasible,
         final_level=level,
         horizon=config.horizon,
-        arrivals_seen=len(arrivals),
+        arrivals_seen=landed,
         delay_sum=delay_sum,
         square_sum=square_sum,
     )

@@ -2,12 +2,15 @@ import math
 import sys
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from aoisim import arrivals, derive_seed, sample_path
+from aoisim import (BestEffortUniform, SimConfig, arrivals, derive_seed,
+                    runner, sample_path, simkernel)
 from aoisim.arrivals import _MASK, _MAX_BLOCK, SEED_STRIDE
 from reference_sim import PhiloxStream
 
@@ -234,3 +237,120 @@ def test_derive_seed_formula():
     assert len(seeds) == 2000
     with pytest.raises(ValueError):
         derive_seed(1, -1)
+
+
+# The chunked draw: rows of one chunk, against sample_path.
+
+FILLS = ["numpy", "c"] if simkernel.BACKEND == "c" else ["numpy"]
+PHILOX_KEYS = [0, 1, 1 << 63, (1 << 64) - 1, SEED_STRIDE,
+               derive_seed(2024, 17)]
+
+
+def _numpy_rows(keys, n):
+    return np.array([np.random.Generator(np.random.Philox(key=k)).random(n)
+                     for k in keys]).reshape(len(keys), n)
+
+
+def test_recorded_philox_bits_are_numpys():
+    # The import check compares the C Philox with a record of numpy's
+    # bits; the record is numpy's.
+    crc = 0
+    for n in simkernel._PHILOX_LENGTHS:
+        crc = zlib.crc32(_numpy_rows(simkernel._PHILOX_KEYS, n).tobytes(),
+                         crc)
+    assert crc == simkernel._PHILOX_CRC
+
+
+@pytest.mark.skipif(simkernel.BACKEND != "c", reason="C loops not built")
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 563, 4097])
+def test_c_philox_is_numpys(n):
+    # Every row length, mod 4 and across many blocks, with keys at both
+    # ends of 64 bits, at the top bit and derived.
+    keys = np.array(PHILOX_KEYS, np.uint64)
+    chunk = np.full((len(keys), n), np.nan)
+    simkernel._philox(keys, chunk)
+    assert chunk.tobytes() == _numpy_rows(PHILOX_KEYS, n).tobytes()
+
+
+def _halved(count):
+    """An estimate that falls short: every row is drawn again."""
+    return int(count / 2) + 1
+
+
+@st.composite
+def _chunked_cases(draw):
+    """(fill, n_paths, rows per chunk, drawn prefix, as a list, rate,
+    horizon, short estimate)."""
+    fill = draw(st.sampled_from(FILLS))
+    rate = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    horizon = draw(st.sampled_from([1e-3, 0.7, 6.0, 40.0, 500.0]))
+    per = draw(st.integers(1, 5))
+    n_paths = draw(st.integers(1, 13))
+    prefix = draw(st.integers(0, n_paths))
+    return (fill, n_paths, per, prefix, draw(st.booleans()), rate, horizon,
+            draw(st.booleans()))
+
+
+@given(case=_chunked_cases())
+@settings(max_examples=150)
+def test_chunked_draw_is_sample_path(case):
+    # Path i of the ensemble's draw holds sample_path's bits, for any
+    # chunk size, with paths given up front as a tuple or a list, on
+    # every fill, and when rows fall short and are drawn again.
+    fill, n_paths, per, prefix, as_list, rate, horizon, short = case
+    base = SimConfig(BestEffortUniform(1.0), None, horizon, seed=71,
+                     rate=rate)
+    want = [sample_path(derive_seed(71, i), horizon, rate)
+            for i in range(n_paths)]
+    drawn = [w.copy() for w in want[:prefix]]
+    drawn = drawn if as_list else tuple(drawn)
+    given_paths = list(drawn)
+    with pytest.MonkeyPatch.context() as mp:
+        width = arrivals._expected(horizon * rate)
+        mp.setattr(arrivals, "_CHUNK_BYTES", 8 * width * per)
+        mp.setattr(simkernel, "BACKEND", "c" if fill == "c" else "python")
+        if short:
+            mp.setattr(arrivals, "_expected", _halved)
+        shared = arrivals.chunk_rows(horizon, rate) > 1
+        got = list(runner._paths(base, n_paths, drawn))
+    assert len(got) == n_paths
+    assert all(a is b for a, b in zip(got, given_paths))
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == np.float64 and g.flags.c_contiguous, i
+        assert g.tobytes() == w.tobytes(), i
+    if as_list:  # the paths drawn here are kept, as copies of their rows
+        assert len(drawn) == n_paths
+        for i, (d, w) in enumerate(zip(drawn, want)):
+            assert d.tobytes() == w.tobytes(), i
+            assert runner._pinned(d) == (w.nbytes if shared or i < prefix
+                                         else runner._pinned(w)), i
+
+
+@pytest.mark.parametrize("fill", FILLS)
+def test_short_rows_are_drawn_again(fill, monkeypatch):
+    # A row whose last instant is still within T is drawn again through
+    # sample_path, and only such a row: at T=500, 3 of 300 rows fall
+    # short of the usual estimate.
+    seeds = [derive_seed(3, i) for i in range(300)]
+    want = [sample_path(s, 500.0) for s in seeds]
+    short = [s for s, w in zip(seeds, want)
+             if w.base.size > arrivals._expected(500.0)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return sample_path(*args)
+    monkeypatch.setattr(arrivals, "sample_path", counted)
+    monkeypatch.setattr(simkernel, "BACKEND",
+                        "c" if fill == "c" else "python")
+    got = arrivals.sample_rows(seeds, 500.0, 1.0, simkernel._fill())
+    assert len(short) == 3 and calls == short
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_chunk_rows_fit_the_chunk():
+    # fig2's paths share chunks; a path of T=1e5 is a chunk of its own.
+    assert arrivals.chunk_rows(500.0) == 58
+    assert arrivals.chunk_rows(500.0, rate=0.5) > 58
+    assert arrivals.chunk_rows(1e5) == 1
+    assert arrivals.chunk_rows(1e-9) * 8 * 18 <= arrivals._CHUNK_BYTES

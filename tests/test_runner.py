@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from aoisim import (
     threshold_average_aoi,
 )
 from aoisim import cli, runner, simkernel
+from aoisim.arrivals import sample_rows
 from aoisim.runner import (
     DEFAULT_B1_BETA,
     DEFAULT_B1_UNIFORM_PERIOD,
@@ -166,14 +168,23 @@ def test_simulated_objectives_use_common_random_numbers():
 
 
 def _count_draws(monkeypatch):
+    """The (seed, horizon, rate) of every path drawn, in order: by each
+    sample_path call of simkernel and cli, and by each row of runner's
+    chunk draws. The rows that sample_rows draws again are not counted
+    twice."""
     draws = []
 
     def counted(*args):
         draws.append(args)
         return sample_path(*args)
 
-    for module in (runner, simkernel, cli):
+    def counted_rows(seeds, horizon, rate, fill):
+        draws.extend((seed, horizon, rate) for seed in seeds)
+        return sample_rows(seeds, horizon, rate, fill)
+
+    for module in (simkernel, cli):
         monkeypatch.setattr(module, "sample_path", counted)
+    monkeypatch.setattr(runner, "sample_rows", counted_rows)
     return draws
 
 
@@ -340,13 +351,14 @@ def test_search_is_bit_identical_with_and_without_drawn_paths(
 @pytest.mark.parametrize("kept", [0, 2, SEARCH_PATHS])
 def test_search_draws_kept_paths_once(monkeypatch, make, bracket, kept):
     # With room for the first `kept` paths, a search draws them once and
-    # the others at every evaluation; the cap counts each path's whole
-    # buffer, of which sample_path returns a view.
+    # the others at every evaluation; the cap counts the bytes that each
+    # kept path pins, and these paths share one chunk, so each is kept as
+    # a copy of its own arrivals.
+    assert runner.chunk_rows(SEARCH_HORIZON) > SEARCH_PATHS
     paths = [sample_path(derive_seed(SEARCH_SEED, i), SEARCH_HORIZON)
              for i in range(SEARCH_PATHS)]
-    sizes = [path.base.nbytes for path in paths]
-    assert all(size > path.nbytes for size, path in zip(sizes, paths))
-    monkeypatch.setattr(runner, "_DRAWN_BYTES", sum(sizes[:kept]))
+    monkeypatch.setattr(runner, "_DRAWN_BYTES",
+                        sum(path.nbytes for path in paths[:kept]))
     draws = _count_draws(monkeypatch)
     _, evaluations = _search(make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED),
                              bracket)
@@ -357,22 +369,52 @@ def test_search_draws_kept_paths_once(monkeypatch, make, bracket, kept):
         for i in range(SEARCH_PATHS)]
 
 
-@pytest.mark.parametrize("make,bracket", SEARCHES)
-def test_drawn_paths_are_unchanged_by_a_search(monkeypatch, make, bracket):
-    # The kernels only read the kept arrivals: after a whole search they
-    # hold the bytes a fresh draw gives.
-    drawn = []
+def test_objectives_on_one_stream_share_their_paths(monkeypatch):
+    # The period and the beta objective on one (seed, horizon) keep one
+    # store while either lives: each path is drawn once for both
+    # searches, which find what each finds alone, bit for bit; the store
+    # dies with the last of them.
+    def alone(make, bracket):
+        opt, _ = _search(make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED),
+                         bracket)
+        return opt
+    want = [alone(*search.values) for search in SEARCHES]
+    draws = _count_draws(monkeypatch)
+    objectives = [make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED)
+                  for make, _ in (search.values for search in SEARCHES)]
+    store = weakref.ref(runner._store(SEARCH_SEED, SEARCH_HORIZON))
+    got = [_search(objective, search.values[1])[0]
+           for objective, search in zip(objectives, SEARCHES)]
+    assert draws == [(derive_seed(SEARCH_SEED, i), SEARCH_HORIZON, 1.0)
+                     for i in range(SEARCH_PATHS)]
+    for g, w in zip(got, want):
+        assert (np.array([g.arg, g.value]).tobytes()
+                == np.array([w.arg, w.value]).tobytes())
+        assert g.flat == w.flat
+        assert (np.array(g.evaluations).tobytes()
+                == np.array(w.evaluations).tobytes())
+    assert len(store()) == SEARCH_PATHS
+    # Another stream has a store of its own.
+    assert runner._store(SEARCH_SEED + 1, SEARCH_HORIZON) is not store()
+    assert runner._store(SEARCH_SEED, 2 * SEARCH_HORIZON) is not store()
+    del objectives[0]
+    assert store() is not None
+    del objectives[0]
+    assert store() is None
 
-    def keep(*args):
-        drawn.append(sample_path(*args))
-        return drawn[-1]
-    monkeypatch.setattr(runner, "sample_path", keep)
-    _search(make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED), bracket)
+
+@pytest.mark.parametrize("make,bracket", SEARCHES)
+def test_drawn_paths_are_unchanged_by_a_search(make, bracket):
+    # The kernels only read the kept arrivals: after a whole search they
+    # hold the bytes a fresh draw gives, and pin no other bytes.
+    objective = make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED)
+    _search(objective, bracket)
+    drawn = runner._store(SEARCH_SEED, SEARCH_HORIZON)
     assert len(drawn) == SEARCH_PATHS
     for i, arrivals in enumerate(drawn):
         fresh = sample_path(derive_seed(SEARCH_SEED, i), SEARCH_HORIZON)
         assert arrivals.tobytes() == fresh.tobytes()
-        assert arrivals.base.tobytes()[:fresh.nbytes] == fresh.tobytes()
+        assert runner._pinned(arrivals) == fresh.nbytes
 
 
 @pytest.mark.parametrize("make,arg", [(unit_uniform_period_objective, 0.5),

@@ -432,6 +432,8 @@ def _entry_cases(draw):
 @given(case=_entry_cases())
 @example(case=(BestEffortUniform(1.0), 2, 3.0, np.array([0.5, 0.6, 0.7, 4.0]),
                np.array([3.0, 0.5, 3.0])))
+@example(case=(ThresholdUnitBattery(0.901), 1, 3.0,
+               np.array([0.12292057, np.nextafter(3.0, 4.0)]), np.array([])))
 def test_entry_matches_reference(case):
     # One path call on every backend: its epochs, counts, sums and series
     # are the reference simulator's run and the definition's tally of it,
@@ -498,6 +500,59 @@ def test_bad_arrivals_are_usage_errors(arrivals, policy, capacity):
         simulate_path(np.array(arrivals), policy, capacity, 3.0)
     # Ties are fine.
     simulate_path(np.array([0.5, 0.5, 1.5]), policy, capacity, 3.0)
+
+
+@pytest.mark.parametrize("arrivals", [
+    [5.0, 0.5, 2.5],
+    [0.5, np.nan, 2.5],
+    [[0.5, 1.5]],
+], ids=["unsorted", "nan", "2-d"])
+@pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
+def test_run_path_refuses_bad_arrivals(arrivals, policy, capacity):
+    # run_path checks given arrivals as simulate_path does, with or
+    # without a series, before any loop runs over them.
+    cfg = SimConfig(policy, capacity, 10.0, seed=1)
+    ts, row = np.array([10.0, 5.0]), np.empty(2)
+    for series in (None, (ts, np.array([1, 0], np.int64), row)):
+        with pytest.raises(ConfigError, match="non-decreasing"):
+            run_path(cfg, np.array(arrivals), series)
+    # Ties are fine.
+    run_path(cfg, np.array([0.5, 0.5, 2.5]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
+def test_arrivals_seen_are_those_that_land(backend, policy, capacity,
+                                           monkeypatch):
+    # Arrivals past T never happen, so they are not seen: the count is
+    # the arrivals up to T, and it balances the level, the updates and
+    # the waste.
+    monkeypatch.setattr(simkernel, "BACKEND", backend)
+    arrivals = np.array([0.5, 1.5, 2.5, 9.5, 10.0, 11.0, 12.0])
+    summary, _ = run_path(SimConfig(policy, capacity, 10.0, seed=1),
+                          arrivals)
+    assert summary.arrivals_seen == 5
+    assert (summary.arrivals_seen
+            == summary.final_level + summary.updates + summary.wasted_units)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("old,new", [
+    ("M1 0xCA5A826395121157u", "M1 0xCA5A826395121155u"),
+    ("W1 0xBB67AE8584CAA73Bu", "W1 0xBB67AE8584CAA73Au"),
+    ("ctr[4] = {0, 0, 0, 0}", "ctr[4] = {1, 0, 0, 0}"),
+    ("x[k] >> 11", "x[k] >> 12"),
+], ids=["multiplier", "key-increment", "counter", "uniform"])
+def test_loader_refuses_a_philox_that_is_not_numpys(tmp_path, old, new):
+    # A library whose Philox gives other uniforms than numpy's is refused
+    # at load, and the fallback runs.
+    source = open(simkernel._SOURCE).read()
+    assert source.count(old) == 1
+    broken = tmp_path / "_loops.c"
+    broken.write_text(source.replace(old, new))
+    assert simkernel._load_loops(str(broken), str(tmp_path)) is None
+    assert simkernel._load_loops(simkernel._SOURCE,
+                                 str(tmp_path)) is not None
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
