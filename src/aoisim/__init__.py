@@ -27,7 +27,7 @@ from .runner import (
     run_ensemble,
     sweep_battery,
 )
-from .simkernel import SimConfig, run_path, simulate_path
+from .simkernel import SimConfig, run_path
 
 __all__ = [
     "AOI_LOWER_BOUND",
@@ -50,7 +50,6 @@ __all__ = [
     "run_ensemble",
     "run_path",
     "sample_path",
-    "simulate_path",
     "sweep_battery",
     "threshold_average_aoi",
 ]

@@ -33,7 +33,6 @@ from .analytics import (
     optimal_threshold,
     threshold_average_aoi,
 )
-from .aoi_metrics import UpdateLog
 from .arrivals import derive_seed, sample_path
 from .policies import (
     AdaptiveUnitBattery,
@@ -50,7 +49,7 @@ from .runner import (
     unit_beta_objective,
     unit_uniform_period_objective,
 )
-from .simkernel import SimConfig, _check_horizon, _unit_gammas, simulate_path
+from .simkernel import SimConfig, _check_horizon, _unit_gammas, run_path
 
 DEFAULT_SEED = 1
 
@@ -197,9 +196,7 @@ def cmd_simulate(args) -> int:
     if args.update_log:
         # Path 0 of the ensemble, replayed on its arrivals.
         arrivals = drawn[0]
-        log = UpdateLog(epochs=simulate_path(arrivals, policy, capacity,
-                                             args.horizon, check=False)[0])
-        log.validate()
+        log = run_path(config, arrivals)[1]
         header = ["index", "epoch", "delay"]
         rows: list[list] = [[i + 1, e, d] for i, (e, d)
                             in enumerate(zip(log.epochs, log.delays))]

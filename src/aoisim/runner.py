@@ -15,7 +15,8 @@ All the objectives alive on one (seed, horizon) share one such store,
 which dies with the last of them. Paths are drawn a chunk of
 rows at a time by arrivals.sample_rows, as many as fit in its
 _CHUNK_BYTES (256 KiB: 58 paths of T=500, one of T=1e5), with the C
-Philox on the "c" backend; each row holds sample_path's bits. Each
+Philox on the "c" backend; a path's bits do not depend on the chunk it
+is drawn in, so each is sample_path's, a chunk of one row. Each
 configuration's simkernel plan (its loop, parameters, checkpoints and
 series rows) is resolved once, and run_path runs path i of it in one
 call. A path's record is what that call's tally leaves: the time

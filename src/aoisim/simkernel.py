@@ -24,12 +24,14 @@ the overflow as wasted, and tallies the log: the sums of the delays and
 of their squares, which give the reward, the smallest delay, and R(t)/t
 at the caller's checkpoints. Python checks energy conservation and that
 the smallest delay is positive. What stays the same from path to path is
-resolved once into a ``_Plan``: one per call of ``simulate_path`` or
-``run_path``, one per configuration in an ensemble, which hands it to
-``run_path`` in place of the series, with its configurations checked and
-its arrivals sorted by construction, so that neither is checked again
-per path. On "c", ``_fill`` hands ``arrivals.sample_rows`` the Philox of
-``_loops.c``, which draws the uniforms of a chunk of paths in one call.
+resolved once into a ``_Plan``: one per plain call of ``run_path``, and
+one per configuration in an ensemble, which hands it to ``run_path``
+with the row of the series that the path writes, its configurations
+checked and its arrivals sorted by construction, so that neither is
+checked again per path. ``simulate_path`` is ``run_path`` on given
+arrivals, with its result as a tuple. On "c", ``_fill`` hands
+``arrivals.sample_rows`` the Philox of ``_loops.c``, which draws the
+uniforms of a chunk of paths in one call.
 The import refuses a C library whose ``path`` tallies a fixed set of
 logs otherwise than numpy does, or whose ``philox`` gives other uniforms
 than numpy's Philox.
@@ -460,8 +462,10 @@ class SimConfig:
 
     def validate(self) -> None:
         validate_policy(self.policy, self.capacity)
-        if self.capacity is not None and self.capacity < 1:
-            raise ConfigError("capacity must be a positive integer or None")
+        # The C plan holds the capacity as an int64.
+        if self.capacity is not None and not 1 <= self.capacity < 2**63:
+            raise ConfigError(
+                "capacity must be a positive integer below 2**63 or None")
         _check_horizon(self.policy, self.horizon)
         if not 0.0 < self.rate < math.inf:  # NaN fails too
             raise ConfigError("rate must be positive and finite")
@@ -490,29 +494,14 @@ class SimSummary:
 
 
 def simulate_path(arrivals: np.ndarray, policy: Policy,
-                  capacity: int | None, horizon: float, *, check=True):
-    """Run one policy over a sorted, materialized arrival array.
-
-    Returns (epochs, wasted, infeasible, final_level). Raises ConfigError
-    unless the horizon passes the bounds SimConfig.validate sets and the
-    arrivals are a 1-d array of finite, non-decreasing times; check=False
-    skips the arrivals scan for arrivals sorted by construction, as
-    sample_path output is. Exposed separately from run_path so tests can
-    drive hand-crafted arrival sequences.
-    """
-    validate_policy(policy, capacity)
-    # Python scalars keep numpy scalar arithmetic out of the plain-Python
-    # loops; float() of a numpy float64 is exact, so results do not change.
-    horizon = float(horizon)
-    _check_horizon(policy, horizon)
-    arrivals = (_sorted(arrivals) if check
-                else np.ascontiguousarray(arrivals, dtype=np.float64))
-    plan = _Plan(policy, capacity, horizon)
-    epochs, wasted, infeasible, level, _, landed = _entry(
-        _LOOPS if BACKEND == "c" else None, plan, arrivals, plan.room, 0)[:6]
-    if landed != level + len(epochs) + wasted:
-        raise _unconserved(landed, len(epochs), wasted, level)
-    return epochs, wasted, infeasible, level
+                  capacity: int | None, horizon: float):
+    """run_path(SimConfig(policy, capacity, horizon, seed=0), arrivals) as
+    (epochs, wasted, infeasible, final_level), for tests that drive
+    hand-crafted arrival sequences; perfbench spans it here."""
+    summary, log = run_path(SimConfig(policy, capacity, horizon, seed=0),
+                            arrivals)
+    return (log.epochs, summary.wasted_units, summary.infeasible_epochs,
+            summary.final_level)
 
 
 def _sorted(arrivals):
@@ -541,23 +530,22 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None,
     not read, so one draw can serve several policies; they must be a 1-d
     array of finite, non-decreasing times, or ConfigError is raised. By
     default they are drawn here with ``sample_path(config.seed,
-    config.horizon, config.rate)``. ``series``, when given, is a triple
-    (checkpoints, order, row) of contiguous arrays: the checkpoints in
-    (0, T], in any order, the int64 order that sorts them, and a float64
-    row as long, into which R(t)/t at each checkpoint is written. An
-    ensemble passes instead a pair (plan, i): the _Plan of this
-    configuration, which the ensemble has checked, and the row i of its
-    series that this path writes; its arrivals are sample_path's, and
-    neither is checked again here.
+    config.horizon, config.rate)``. An ensemble passes ``series``, a pair
+    (plan, i): the _Plan of this configuration, which the ensemble has
+    checked, and the row i of its series that this path writes R(t)/t
+    into; its arrivals are sample_path's, and neither is checked again
+    here.
     """
-    if series is not None and len(series) == 2:
+    if series is not None:
         plan, i = series
     else:
         config.validate()
         arrivals = (sample_path(config.seed, config.horizon, config.rate)
                     if arrivals is None else _sorted(arrivals))
+        # A Python float keeps numpy scalar arithmetic out of the
+        # plain-Python loops; float() of a numpy float64 is exact.
         plan, i = _Plan(config.policy, config.capacity,
-                        float(config.horizon), *(series or ())), 0
+                        float(config.horizon)), 0
     (epochs, wasted, infeasible, level, _, landed, delay_sum, square_sum,
      smallest) = _entry(_LOOPS if BACKEND == "c" else None, plan, arrivals,
                         plan.room, i)

@@ -11,8 +11,10 @@ from scipy import stats
 
 from aoisim import (BestEffortUniform, SimConfig, arrivals, derive_seed,
                     runner, sample_path, simkernel)
-from aoisim.arrivals import _MASK, _MAX_BLOCK, SEED_STRIDE
+from aoisim.arrivals import _MASK, SEED_STRIDE
 from reference_sim import PhiloxStream
+
+_MAX_BLOCK = 1 << 20  # the reference's blocks, which carry the running sum
 
 
 def _manual_path(seed, n, rate=1.0):
@@ -27,9 +29,9 @@ def _manual_path(seed, n, rate=1.0):
 
 
 def _fresh_path(seed, horizon, rate=1.0):
-    """sample_path's block and carry arithmetic on a freshly built
-    generator, with blocks sized six standard deviations over the expected
-    count and concatenated at the end."""
+    """A path drawn in blocks that carry the running sum from one to the
+    next, on a freshly built generator, with blocks sized six standard
+    deviations over the expected count and concatenated at the end."""
     gen = np.random.Generator(np.random.Philox(key=seed & _MASK))
     blocks, tail = [], 0.0
     while tail <= horizon:
@@ -63,10 +65,9 @@ def test_reset_stream_matches_fresh_generator(seed, horizon, rate):
 
 @pytest.mark.parametrize("horizon", [500.0, 1.05 * _MAX_BLOCK])
 def test_grown_path_matches_fresh_generator(horizon, monkeypatch):
-    # Sized for half its expected arrivals, every path falls short and
-    # grows, some more than once; the running sum carries across the
-    # copies, so the bits are still a freshly built generator's, across
-    # the 2**20 block edge too.
+    # Sized for half its expected arrivals, every path falls short and is
+    # drawn again in a wider row, some more than once; the bits are still
+    # a freshly built generator's, past the 2**20 block edge too.
     calls = []
 
     def short(count):
@@ -149,9 +150,8 @@ def test_same_seed_same_sequence():
 
 
 def test_scalar_block_and_manual_consumption_agree():
-    # sample_path draws uniforms in blocks of at most 2**20 and carries the
-    # running sum across blocks; a horizon holding more than 2**20 arrivals
-    # crosses a block edge.
+    # One running sum over more than 2**20 arrivals is the hand-written
+    # loop's, and its start is the reference simulator's scalar stream.
     horizon = 1.1 * 2**20
     block = sample_path(123, horizon)
     assert len(block) > 2**20
@@ -326,26 +326,43 @@ def test_chunked_draw_is_sample_path(case):
                                          else runner._pinned(w)), i
 
 
+def _counted(fill, calls):
+    """fill ("numpy" or "c"), recording the keys of each call."""
+    inner = arrivals._numpy_fill if fill == "numpy" else simkernel._philox
+
+    def counted(keys, chunk):
+        calls.append(keys.tolist())
+        inner(keys, chunk)
+    return counted
+
+
 @pytest.mark.parametrize("fill", FILLS)
-def test_short_rows_are_drawn_again(fill, monkeypatch):
-    # A row whose last instant is still within T is drawn again through
-    # sample_path, and only such a row: at T=500, 3 of 300 rows fall
-    # short of the usual estimate.
+def test_short_rows_are_drawn_again(fill):
+    # A row whose last instant is still within T is drawn again, by the
+    # same fill, and only such a row: at T=500, 3 of 300 rows fall short
+    # of the usual estimate.
     seeds = [derive_seed(3, i) for i in range(300)]
     want = [sample_path(s, 500.0) for s in seeds]
     short = [s for s, w in zip(seeds, want)
              if w.base.size > arrivals._expected(500.0)]
     calls = []
-
-    def counted(*args):
-        calls.append(args[0])
-        return sample_path(*args)
-    monkeypatch.setattr(arrivals, "sample_path", counted)
-    monkeypatch.setattr(simkernel, "BACKEND",
-                        "c" if fill == "c" else "python")
-    got = arrivals.sample_rows(seeds, 500.0, 1.0, simkernel._fill())
-    assert len(short) == 3 and calls == short
+    got = arrivals.sample_rows(seeds, 500.0, 1.0, _counted(fill, calls))
+    assert len(short) == 3 and calls == [seeds, short]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("fill", FILLS)
+@pytest.mark.parametrize("rate", [1.0, 2.5])
+def test_rows_key_their_seeds_mod_2_64(fill, rate):
+    # Every fill keys a row by its seed mod 2**64, as sample_path does.
+    seeds = [-1, 1 << 64, 1 << 70, 5]
+    keys = [(1 << 64) - 1, 0, 0, 5]
+    calls = []
+    got = arrivals.sample_rows(seeds, 300.0, rate, _counted(fill, calls))
+    assert calls[0] == keys
+    for g, seed, key in zip(got, seeds, keys):
+        want = sample_path(seed, 300.0, rate).tobytes()
+        assert g.tobytes() == want == _fresh_path(key, 300.0, rate).tobytes()
 
 
 def test_chunk_rows_fit_the_chunk():

@@ -26,13 +26,13 @@ from aoisim import (
     threshold_average_aoi,
 )
 from aoisim import cli, runner, simkernel
+from aoisim.aoi_metrics import running_averages
 from aoisim.arrivals import sample_rows
 from aoisim.runner import (
     DEFAULT_B1_BETA,
     DEFAULT_B1_UNIFORM_PERIOD,
     EnsembleResult,
     SweepCell,
-    running_averages,
     uniform_idle_runs,
     unit_beta_objective,
     unit_uniform_period_objective,
@@ -498,8 +498,9 @@ BACKENDS = ["c", "python"] if simkernel.BACKEND == "c" else ["python"]
 
 
 def _plain_results(configs, n_paths, checkpoints, collect_idle_runs):
-    """_run_policies' results from plain run_path(cfg, arrivals) calls, each
-    with its own series triple, reduced by the same records."""
+    """_run_policies' results from plain run_path(cfg, arrivals) calls,
+    with each series row from aoi_metrics.running_averages, reduced by the
+    same records."""
     ts = np.ascontiguousarray(checkpoints, dtype=np.float64)
     order = np.argsort(ts, kind="stable").astype(np.int64)
     records = [runner._Records(cfg, n_paths, ts, order,
@@ -510,11 +511,9 @@ def _plain_results(configs, n_paths, checkpoints, collect_idle_runs):
         arrivals = sample_path(derive_seed(base.seed, i), base.horizon,
                                base.rate)
         for cfg, rec in zip(configs, records):
-            row = np.full(len(ts), np.nan)
-            summary, log = run_path(cfg, arrivals,
-                                    (ts, order, row) if len(ts) else None)
+            summary, log = run_path(cfg, arrivals)
             if rec.series is not None:
-                rec.series[i] = row
+                rec.series[i] = running_averages(log, ts)
             rec.add(i, summary, log)
     return [rec.result() for rec in records]
 

@@ -21,12 +21,11 @@ from aoisim import (
     derive_seed,
     run_path,
     sample_path,
-    simulate_path,
 )
 from aoisim import simkernel
 from aoisim.aoi_metrics import running_averages
 from aoisim.cli import main as cli_main
-from aoisim.simkernel import _unit_gammas
+from aoisim.simkernel import _unit_gammas, simulate_path
 from reference_sim import integrate_trace, reference_on_arrivals, reference_run
 
 # Every backend this machine has: the C loops when they were built, and
@@ -467,15 +466,14 @@ def test_entry_matches_reference(case):
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0,
                                      2e7])
 def test_bad_horizon_is_a_usage_error(horizon, monkeypatch):
-    # simulate_path bounds its horizon as SimConfig.validate does, with or
-    # without the arrivals scan, before any loop runs: no loop stops at a
-    # NaN horizon, which every comparison fails.
+    # simulate_path bounds its horizon as SimConfig.validate does, before
+    # any loop runs: no loop stops at a NaN horizon, which every
+    # comparison fails.
     monkeypatch.setattr(simkernel, "_entry", None)
     for policy, capacity in ALL_POLICIES:
-        for check in (True, False):
-            with pytest.raises(ConfigError, match="horizon must lie in"):
-                simulate_path(np.array([0.5, 1.5, 2.5]), policy, capacity,
-                              horizon, check=check)
+        with pytest.raises(ConfigError, match="horizon must lie in"):
+            simulate_path(np.array([0.5, 1.5, 2.5]), policy, capacity,
+                          horizon)
 
 
 def test_too_dense_grid_is_a_usage_error(monkeypatch):
@@ -484,7 +482,40 @@ def test_too_dense_grid_is_a_usage_error(monkeypatch):
     for capacity in (None, 1, 3):
         with pytest.raises(ConfigError, match="too dense"):
             simulate_path(np.array([0.5]), BestEffortUniform(1e-6), capacity,
-                          1e7, check=False)
+                          1e7)
+
+
+@pytest.mark.parametrize("capacity", [2**63, 2**64 + 5])
+def test_capacity_past_int64_is_a_usage_error(capacity, tmp_path, capsys):
+    # The C plan holds the capacity as an int64, so a larger one would
+    # wrap: it is refused on every backend before any loop runs, and the
+    # CLI exits 2.
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            mp.setattr(simkernel, "_entry", None)
+            for policy in (BestEffortUniform(1.0), EnergyAwareAdaptive(1.0)):
+                with pytest.raises(ConfigError, match=r"below 2\*\*63"):
+                    run_path(SimConfig(policy, capacity, 200.0, seed=3))
+                with pytest.raises(ConfigError, match=r"below 2\*\*63"):
+                    simulate_path(np.array([0.5]), policy, capacity, 200.0)
+    out = tmp_path / "x.csv"
+    assert cli_main(["simulate", "--policy", "adaptive", "--battery",
+                     str(capacity), "--horizon", "200", "--seed", "3",
+                     "--out", str(out)]) == 2
+    assert "below 2**63" in capsys.readouterr().err
+    assert not out.exists()
+    # The largest capacity allowed runs alike on every backend.
+    for policy in (BestEffortUniform(1.0), EnergyAwareAdaptive(1.0)):
+        cfg = SimConfig(policy, 2**63 - 1, 200.0, seed=3)
+        runs = set()
+        for backend in BACKENDS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simkernel, "BACKEND", backend)
+                summary, log = run_path(cfg)
+                runs.add((log.epochs.tobytes(), summary.wasted_units,
+                          summary.final_level))
+        assert len(runs) == 1
 
 
 @pytest.mark.parametrize("arrivals,policy,capacity", [
@@ -509,13 +540,10 @@ def test_bad_arrivals_are_usage_errors(arrivals, policy, capacity):
 ], ids=["unsorted", "nan", "2-d"])
 @pytest.mark.parametrize("policy,capacity", ALL_POLICIES)
 def test_run_path_refuses_bad_arrivals(arrivals, policy, capacity):
-    # run_path checks given arrivals as simulate_path does, with or
-    # without a series, before any loop runs over them.
+    # run_path checks given arrivals before any loop runs over them.
     cfg = SimConfig(policy, capacity, 10.0, seed=1)
-    ts, row = np.array([10.0, 5.0]), np.empty(2)
-    for series in (None, (ts, np.array([1, 0], np.int64), row)):
-        with pytest.raises(ConfigError, match="non-decreasing"):
-            run_path(cfg, np.array(arrivals), series)
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        run_path(cfg, np.array(arrivals))
     # Ties are fine.
     run_path(cfg, np.array([0.5, 0.5, 2.5]))
 

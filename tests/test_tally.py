@@ -105,7 +105,7 @@ def test_c_tally_on_real_logs(family, horizon):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_series_at_awkward_checkpoints(backend, monkeypatch):
     # Unsorted, repeated, before the first epoch, exactly on an epoch and
-    # at T: the row run_path writes, and the ensemble's means, are the
+    # at T: the row one path writes, and the ensemble's means, are the
     # definition's to the bit on every backend.
     monkeypatch.setattr(simkernel, "BACKEND", backend)
     cfg = SimConfig(BestEffortUniform(1.0), 3, 50.0, 5)
@@ -113,11 +113,10 @@ def test_series_at_awkward_checkpoints(backend, monkeypatch):
     assert epochs[0] > 0 and len(epochs) > 4
     ts = np.array([50.0, epochs[3], 0.25 * epochs[0], 17.3, epochs[3],
                    epochs[0], 50.0, 2.0])
-    row = np.full(len(ts), np.nan)
-    _, log = run_path(cfg, series=(ts, _order(ts), row))
-    assert row.tobytes() == running_averages(log, ts).tobytes()
     rows = np.array([running_averages(run_path(replace(
         cfg, seed=derive_seed(5, i)))[1], ts) for i in range(3)])
+    one = run_ensemble(cfg, 1, checkpoints=ts)  # the mean of one row is it
+    assert one.checkpoint_means.tobytes() == rows[0].tobytes()
     result = run_ensemble(cfg, 3, checkpoints=ts)
     assert result.checkpoint_means.tobytes() == rows.mean(axis=0).tobytes()
 
