@@ -45,8 +45,12 @@ def inter_update_moments(tau0: float) -> tuple[float, float]:
 
 def _h_derivative(tau0: float) -> float:
     # Central difference; a symbolic derivative would invite transcription
-    # errors for no accuracy gain at this tolerance.
+    # errors for no accuracy gain at this tolerance. Next to 0, where h is
+    # not defined to the left, a forward difference.
     step = 1e-6 * max(1.0, tau0)
+    if tau0 < step:
+        return (threshold_average_aoi(tau0 + step)
+                - threshold_average_aoi(tau0)) / step
     return (threshold_average_aoi(tau0 + step)
             - threshold_average_aoi(tau0 - step)) / (2.0 * step)
 

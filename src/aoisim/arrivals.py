@@ -97,13 +97,16 @@ def sample_rows(seeds, horizon: float, rate: float = 1.0,
     chunk the first uniforms of the Philox stream keyed keys[r] (uint64);
     it must give numpy's bits. The rows that fall short of the horizon are
     drawn again, by the same fill, into a chunk of their own. Each path is
-    a view of the chunk it was completed in."""
+    a view of the chunk it was completed in; a horizon of 0 or less gives
+    empty rows."""
     if not 0.0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, not {horizon}")
     keys = np.array([int(seed) & _MASK for seed in seeds], np.uint64)
     paths = [None] * len(keys)
     todo = list(range(len(keys)))
-    width = _expected(horizon * rate)
+    width = _expected(max(horizon, 0.0) * rate)  # empty rows for T <= 0
     while todo:
         chunk = np.empty((len(todo), width))
         (fill or _numpy_fill)(keys[todo], chunk)

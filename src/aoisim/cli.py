@@ -93,10 +93,6 @@ def _manifest(subcommand: str, args: argparse.Namespace,
               outputs: list[str]) -> dict:
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "subcommand") and v is not None}
-    for k, v in params.items():
-        if isinstance(v, (list, tuple)):
-            params[k] = [float(x) if isinstance(x, (float, np.floating)) else x
-                         for x in v]
     return {
         "subcommand": subcommand,
         "parameters": params,
@@ -334,7 +330,6 @@ def cmd_reproduce(args) -> int:
 # optimize
 
 def cmd_optimize(args) -> int:
-    lo, hi = args.bracket
     if args.target == "tau0-analytic":
         objective = threshold_average_aoi
     elif args.target == "uniform-period-b1":
@@ -343,7 +338,7 @@ def cmd_optimize(args) -> int:
     else:
         objective = unit_beta_objective(
             horizon=args.horizon, n_paths=args.paths, base_seed=args.seed)
-    optimum = optimize_scalar(objective, (lo, hi), args.tol)
+    optimum = optimize_scalar(objective, args.bracket, args.tol)
     payload = {
         "target": args.target,
         "arg": optimum.arg,

@@ -8,12 +8,12 @@ and policy comparisons reuse one fixed seed set across candidates (common
 random numbers), which makes simulated objectives deterministic functions
 of their parameter. A policy comparison and a battery sweep draw each
 path once and run every policy, or every (k, B) cell, on it. The two
-simulated objectives keep the paths they draw in their first evaluation,
-while their buffers fit in _DRAWN_BYTES (256 MiB, 200 paths of T=1e5),
-and run every later evaluation on them: a search draws each path once.
-All the objectives alive on one (seed, horizon) share one such store,
-which dies with the last of them. Paths are drawn a chunk of
-rows at a time by arrivals.sample_rows, as many as fit in its
+simulated objectives keep copies of the paths they draw in their first
+evaluation, while those fit in _DRAWN_BYTES (256 MiB, 200 paths of
+T=1e5), and run every later evaluation on them: a search draws each path
+once. All the objectives alive on one (seed, horizon) share one such
+store, which dies with the last of them. Paths are drawn a chunk of rows
+at a time by arrivals.sample_rows, as many as fit in its
 _CHUNK_BYTES (256 KiB: 58 paths of T=500, one of T=1e5), with the C
 Philox on the "c" backend; a path's bits do not depend on the chunk it
 is drawn in, so each is sample_path's, a chunk of one row. Each
@@ -45,7 +45,7 @@ from .policies import (
     ThresholdUnitBattery,
     adaptive_beta,
 )
-from .search import golden_section
+from .search import ScalarOptimum, golden_section
 from .simkernel import SimConfig, SimSummary, _fill, _Plan, run_path
 
 # Numerically optimized parameters used by the three-policy B=1 comparison.
@@ -143,21 +143,15 @@ class _Records:
 _DRAWN_BYTES = 256 << 20
 
 
-def _pinned(arrivals: np.ndarray) -> int:
-    """Bytes that keeping these arrivals holds: its buffer's, if a view."""
-    return (arrivals if arrivals.base is None else arrivals.base).nbytes
-
-
 def _paths(base: SimConfig, n_paths: int, drawn):
     """Path i's arrivals for i in 0..n-1: drawn[i] while drawn has it,
     then each later path drawn a chunk of paths at a time. When drawn is
-    a list, the paths drawn here are appended to it, in order, while the
-    bytes that all of its paths pin fit in _DRAWN_BYTES; a path that
-    shares its chunk with others is kept as a copy, so that it pins its
-    own bytes and not the chunk's."""
+    a list, copies of the paths drawn here are appended to it, in order,
+    while their bytes all fit in _DRAWN_BYTES: a copy holds its own
+    bytes, not its chunk's."""
     yield from drawn[:n_paths]
     keep = isinstance(drawn, list)
-    held = sum(map(_pinned, drawn)) if keep else 0
+    held = sum(arrivals.nbytes for arrivals in drawn) if keep else 0
     per = chunk_rows(base.horizon, base.rate)
     for start in range(len(drawn), n_paths, per):
         seeds = [derive_seed(base.seed, i)
@@ -165,12 +159,11 @@ def _paths(base: SimConfig, n_paths: int, drawn):
         for arrivals in sample_rows(seeds, base.horizon, base.rate,
                                     _fill()):
             if keep:
-                if per > 1:
-                    arrivals = arrivals.copy()
-                held += _pinned(arrivals)
+                held += arrivals.nbytes
                 # The first path that does not fit ends the keeping.
                 keep = held <= _DRAWN_BYTES
                 if keep:
+                    arrivals = arrivals.copy()
                     drawn.append(arrivals)
             yield arrivals
 
@@ -206,11 +199,11 @@ def _run_policies(configs: list[SimConfig], n_paths: int, checkpoints=(),
     records = [_Records(cfg, n_paths, ts, order,
                         cfg.policy.period if collect_idle_runs else None)
                for cfg in configs]
-    # The previous chunk (unless drawn holds its paths) and log are freed
-    # as they are replaced. Freeing them before the next draw would save
-    # one epoch buffer of peak memory, but malloc would then return the
-    # heap top after each path, and the next path would fault its pages
-    # in again: a fig3 command (6 paths of T=1e5, 8 cells) takes 3336
+    # The previous chunk, of which drawn holds only copies, and log are
+    # freed as they are replaced. Freeing them before the next draw would
+    # save one epoch buffer of peak memory, but malloc would then return
+    # the heap top after each path, and the next path would fault its
+    # pages in again: a fig3 command (6 paths of T=1e5, 8 cells) takes 3336
     # minor faults that way against 838 this way, and a fig5 command 1989
     # against 1212.
     for i, arrivals in enumerate(_paths(base, n_paths, drawn)):
@@ -260,37 +253,16 @@ def sweep_battery(k_values, cap_values, horizon: float, n_paths: int,
             in zip(grid, _run_policies(configs, n_paths))]
 
 
-@dataclass
-class ScalarOptimum:
-    arg: float
-    value: float
-    flat: bool
-    evaluations: list[tuple[float, float]]
-
-
 def optimize_scalar(objective, bracket: tuple[float, float],
                     tol: float) -> ScalarOptimum:
-    """Golden-section minimization of a deterministic scalar objective.
-
-    When no interior probe improves on the bracket endpoints the best
-    endpoint is returned and a flatness warning is emitted.
-    """
-    lo, hi = bracket
-    if not lo < hi:
-        raise ConfigError("bracket must satisfy lo < hi")
-    if not tol > 0:
-        raise ConfigError("tol must be positive")
-    f_lo = objective(lo)
-    f_hi = objective(hi)
-    res = golden_section(objective, lo, hi, tol)
-    arg, value, flat = res.x, res.fx, False
-    if min(f_lo, f_hi) <= value:
-        flat = True
+    """search.golden_section of a deterministic scalar objective over
+    the bracket, with a warning when no interior probe improves on the
+    bracket endpoints and the best endpoint is returned."""
+    optimum = golden_section(objective, *bracket, tol)
+    if optimum.flat:
         warnings.warn("no interior improvement over the bracket; "
                       "returning the best endpoint", stacklevel=2)
-        arg, value = (lo, f_lo) if f_lo <= f_hi else (hi, f_hi)
-    evals = sorted({(lo, f_lo), (hi, f_hi), *res.evaluations})
-    return ScalarOptimum(arg=arg, value=value, flat=flat, evaluations=evals)
+    return optimum
 
 
 class _Store(list):

@@ -3,29 +3,32 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .policies import ConfigError
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
-class GoldenResult:
-    x: float
-    fx: float
-    bracket: tuple[float, float]
-    evaluations: list[tuple[float, float]] = field(default_factory=list)
+class ScalarOptimum:
+    arg: float
+    value: float
+    flat: bool  # no interior probe beat the better endpoint
+    evaluations: list[tuple[float, float]]  # (x, f(x)), sorted by x
+    bracket: tuple[float, float]  # the final one
 
 
-def golden_section(f, lo: float, hi: float, tol: float) -> GoldenResult:
-    """Shrink [lo, hi] by golden-section until the bracket is below ``tol``.
-
-    The objective is memoized, so a deterministic f is probed at most once
-    per point; interior probes are reused across iterations as usual.
-    """
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def golden_section(f, lo: float, hi: float, tol: float) -> ScalarOptimum:
+    """Probe lo and hi, shrink [lo, hi] by golden-section until the bracket
+    is below ``tol`` or too narrow for floats to split, and return the best
+    probe; on a tie the earlier one, so an endpoint beats the interior and
+    lo beats hi. f is memoized, so a deterministic f is probed once per
+    point. A bad bracket or tol raises ConfigError before f is called."""
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError("bracket must be finite, with lo < hi")
+    if not tol > 0:
+        raise ConfigError("tol must be positive")
     cache: dict[float, float] = {}
 
     def ev(x: float) -> float:
@@ -33,20 +36,22 @@ def golden_section(f, lo: float, hi: float, tol: float) -> GoldenResult:
             cache[x] = f(x)
         return cache[x]
 
+    ev(lo)
+    ev(hi)
     a, b = lo, hi
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
-    while (b - a) > tol:
+    while b - a > tol and a < c < d < b:
         if ev(c) <= ev(d):
             b, d = d, c
             c = b - INVPHI * (b - a)
         else:
             a, c = c, d
             d = a + INVPHI * (b - a)
-    xs = sorted(cache)
     x_best = min(cache, key=cache.get)
-    return GoldenResult(x=x_best, fx=cache[x_best], bracket=(a, b),
-                        evaluations=[(x, cache[x]) for x in xs])
+    return ScalarOptimum(arg=x_best, value=cache[x_best],
+                         flat=x_best in (lo, hi),
+                         evaluations=sorted(cache.items()), bracket=(a, b))
 
 
 def bisect_sign_change(g, lo: float, hi: float, tol: float,

@@ -16,22 +16,22 @@ bit-identical whichever runs; the tests compare each with
 One path of one policy is one call of ``_entry``: ``path`` of
 ``_loops.c`` on "c", the Python loop and the numpy ``aoi_metrics.tally``
 on "python", with the same bits. It walks the loop into a fresh epoch
-buffer; the uniform loop jumps over each run of epochs that find the
-battery empty, with the counts of stepping bit for bit, so a dense grid
-costs its arrivals and updates, not its T / period epochs. It then lands
-the arrivals left up to T, clamps the level to the capacity, counting
-the overflow as wasted, and tallies the log: the sums of the delays and
-of their squares, which give the reward, the smallest delay, and R(t)/t
-at the caller's checkpoints. Python checks energy conservation and that
-the smallest delay is positive. What stays the same from path to path is
-resolved once into a ``_Plan``: one per plain call of ``run_path``, and
-one per configuration in an ensemble, which hands it to ``run_path``
-with the row of the series that the path writes, its configurations
-checked and its arrivals sorted by construction, so that neither is
-checked again per path. ``simulate_path`` is ``run_path`` on given
-arrivals, with its result as a tuple. On "c", ``_fill`` hands
-``arrivals.sample_rows`` the Philox of ``_loops.c``, which draws the
-uniforms of a chunk of paths in one call.
+buffer, one slot longer than the arrivals; the uniform loop jumps over
+each run of epochs that find the battery empty, with the counts of
+stepping bit for bit, so a dense grid costs its arrivals and updates,
+not its T / period epochs. It then lands the arrivals left up to T,
+clamps the level to the capacity, counting the overflow as wasted, and
+tallies the log: the sums of the delays and of their squares, which give
+the reward, the smallest delay, and R(t)/t at the caller's checkpoints.
+Python checks energy conservation and that the smallest delay is
+positive. What stays the same from path to path is resolved once into a
+``_Plan``: one per plain call of ``run_path``, and one per configuration
+in an ensemble, which hands it to ``run_path`` with the row of the
+series that the path writes, its configurations checked and its arrivals
+sorted by construction, so that neither is checked again per path.
+``simulate_path`` is ``run_path`` on given arrivals, with its result as
+a tuple. On "c", ``_fill`` hands ``arrivals.sample_rows`` the Philox of
+``_loops.c``, which draws the uniforms of a chunk of paths in one call.
 The import refuses a C library whose ``path`` tallies a fixed set of
 logs otherwise than numpy does, or whose ``philox`` gives other uniforms
 than numpy's Philox.
@@ -334,9 +334,9 @@ _REGIMES = (_uniform_path, _adaptive_path, _unit_renewal_path)
 
 class _Plan:
     """What the paths of one checked (policy, capacity, float horizon)
-    share: the loop, its parameters, the room its schedule needs up to T,
-    and the checkpoints, the int64 order that sorts them and the float64
-    rows, one per path, that the series goes to (a 1-d row for one path).
+    share: the loop, its parameters, and the checkpoints, the int64 order
+    that sorts them and the float64 rows, one per path, that the series
+    goes to (a 1-d row for one path).
     Its struct plan holds the same for _loops.c and receives each C
     call's counts and sums."""
 
@@ -345,10 +345,8 @@ class _Plan:
         cap = -1 if capacity is None else int(capacity)
         if isinstance(policy, BestEffortUniform):
             self.loop, params = _uniform_path, (float(policy.period),)
-            self.room = int(horizon / params[0]) + 2
         elif isinstance(policy, ThresholdUnitBattery):
             self.loop, params = _unit_renewal_path, (float(policy.tau0),)
-            self.room = math.inf  # an update per arrival at most
         elif isinstance(policy, (EnergyAwareAdaptive, AdaptiveUnitBattery)):
             # Delays for levels below, at and above half the battery; the
             # B=1 variant runs at cap == 1, which validate_policy enforces.
@@ -356,7 +354,6 @@ class _Plan:
                          else adaptive_beta(policy.k, cap))
             self.loop = _adaptive_path
             params = (1.0 / (1.0 - beta), 1.0, 1.0 / (1.0 + beta))
-            self.room = int(horizon / min(params)) + 4
         else:
             raise ConfigError(f"unknown policy variant {type(policy).__name__}")
         # The Python loop's arguments between the arrivals and the epochs.
@@ -382,14 +379,11 @@ class _Plan:
 
 def _entry(lib, plan, arrivals, room, i):
     """One path of plan on the sorted float64 arrivals, with room for
-    `room` epochs in a fresh buffer (the caller keeps the log), or for one
-    more than the arrivals if that is less, since no update goes without
-    one; as lib's path or, with lib None, the Python loop and
-    aoi_metrics.tally; the series goes to row i. Returns (epochs, wasted,
-    infeasible, level, seen, landed, delay sum, square sum, smallest
-    delay); a loop that needs more room is a sizing bug and raises
-    RuntimeError."""
-    room = min(room, arrivals.size + 1)
+    `room` epochs in a fresh buffer (the caller keeps the log); as lib's
+    path or, with lib None, the Python loop and aoi_metrics.tally; the
+    series goes to row i. Returns (epochs, wasted, infeasible, level,
+    seen, landed, delay sum, square sum, smallest delay); a loop that
+    needs more room is a sizing bug and raises RuntimeError."""
     epochs = np.empty(room, np.float64)
     if lib is not None:
         if lib.path(plan.address, _address(arrivals), arrivals.size,
@@ -462,8 +456,10 @@ class SimConfig:
 
     def validate(self) -> None:
         validate_policy(self.policy, self.capacity)
-        # The C plan holds the capacity as an int64.
-        if self.capacity is not None and not 1 <= self.capacity < 2**63:
+        # The C plan holds it as an int64; _Plan's int() truncates a float.
+        if self.capacity is not None and not (
+                isinstance(self.capacity, (int, np.integer))
+                and 1 <= self.capacity < 2**63):
             raise ConfigError(
                 "capacity must be a positive integer below 2**63 or None")
         _check_horizon(self.policy, self.horizon)
@@ -546,9 +542,11 @@ def run_path(config: SimConfig, arrivals: np.ndarray | None = None,
         # plain-Python loops; float() of a numpy float64 is exact.
         plan, i = _Plan(config.policy, config.capacity,
                         float(config.horizon)), 0
+    # Every update spends an arrival that landed before it, so one more
+    # slot than the arrivals always suffices.
     (epochs, wasted, infeasible, level, _, landed, delay_sum, square_sum,
      smallest) = _entry(_LOOPS if BACKEND == "c" else None, plan, arrivals,
-                        plan.room, i)
+                        arrivals.size + 1, i)
     if landed != level + len(epochs) + wasted:
         raise _unconserved(landed, len(epochs), wasted, level)
     if smallest <= 0:

@@ -100,6 +100,18 @@ def test_optimal_threshold():
         optimal_threshold(0.0)
 
 
+@pytest.mark.parametrize("tol,want", [(1.5, 0.5901699437494742),
+                                      (3.0, 0.9549150281252627),
+                                      (10.0, 2.5)])
+def test_optimal_threshold_at_a_coarse_tol(tol, want):
+    # The coarse bracket keeps lo = 0 at these tols, and h' at 0 takes a
+    # forward difference: h is not defined left of 0.
+    tau_star, h_star = optimal_threshold(tol)
+    assert tau_star == pytest.approx(want, abs=1e-12)
+    assert abs(tau_star - 0.9012010) <= tol
+    assert h_star == threshold_average_aoi(tau_star)
+
+
 def test_optimal_threshold_against_root_oracle():
     # Setting h'(t) = 0 reduces to t^2 = 2 e^{-t}; solve independently.
     root = brentq(lambda t: t * t - 2.0 * math.exp(-t), 0.5, 1.5, xtol=1e-13)

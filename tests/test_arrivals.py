@@ -311,7 +311,6 @@ def test_chunked_draw_is_sample_path(case):
         mp.setattr(simkernel, "BACKEND", "c" if fill == "c" else "python")
         if short:
             mp.setattr(arrivals, "_expected", _halved)
-        shared = arrivals.chunk_rows(horizon, rate) > 1
         got = list(runner._paths(base, n_paths, drawn))
     assert len(got) == n_paths
     assert all(a is b for a, b in zip(got, given_paths))
@@ -322,8 +321,7 @@ def test_chunked_draw_is_sample_path(case):
         assert len(drawn) == n_paths
         for i, (d, w) in enumerate(zip(drawn, want)):
             assert d.tobytes() == w.tobytes(), i
-            assert runner._pinned(d) == (w.nbytes if shared or i < prefix
-                                         else runner._pinned(w)), i
+            assert d.base is None and d.nbytes == w.nbytes, i
 
 
 def _counted(fill, calls):
@@ -363,6 +361,22 @@ def test_rows_key_their_seeds_mod_2_64(fill, rate):
     for g, seed, key in zip(got, seeds, keys):
         want = sample_path(seed, 300.0, rate).tobytes()
         assert g.tobytes() == want == _fresh_path(key, 300.0, rate).tobytes()
+
+
+@pytest.mark.parametrize("fill", FILLS)
+def test_bad_horizons(fill):
+    # A horizon of 0 or less gives empty rows; a non-finite one is
+    # refused with a message that names it.
+    calls = []
+    for horizon in (0.0, -1.0, -1.5, -1e300):
+        got = arrivals.sample_rows([1, 2], horizon, 2.5, _counted(fill, calls))
+        assert [(g.dtype, g.size) for g in got] == [(np.float64, 0)] * 2
+        assert sample_path(1, horizon).size == 0
+    for horizon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            arrivals.sample_rows([1], horizon, 1.0, _counted(fill, calls))
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            sample_path(1, horizon)
 
 
 def test_chunk_rows_fit_the_chunk():

@@ -125,6 +125,14 @@ def test_analytic_optimal_threshold(capsys):
     assert doc["h_star"] == pytest.approx(0.9012, abs=5e-4)
 
 
+@pytest.mark.parametrize("tol", ["1.5", "3", "10"])
+def test_analytic_optimal_threshold_at_a_coarse_tol(capsys, tol):
+    # A tol wider than the search's first step is no usage error.
+    assert run_cli(["analytic", "--optimal-threshold", "--tol", tol]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(doc["tau_star"] - 0.9012010) <= float(tol)
+
+
 def test_analytic_idle_pmf(capsys):
     assert run_cli(["analytic", "--idle-pmf", "3"]) == 0
     values = json.loads(capsys.readouterr().out)
@@ -216,12 +224,28 @@ def test_optimize_tau0_analytic(capsys, tmp_path):
     assert saved["arg"] == doc["arg"]
 
 
+def test_optimize_tol_wider_than_the_bracket(capsys):
+    # No interior point is probed: the search returns the better end.
+    with pytest.warns(UserWarning, match="best endpoint"):
+        code = run_cli(["optimize", "--target", "tau0-analytic",
+                        "--bracket", "0", "5", "--tol", "10"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["arg"], doc["value"]) == (0.0, 1.0)
+    assert doc["flat_bracket"] is True
+    assert doc["n_evaluations"] == 2
+
+
 def test_optimize_bad_bracket_exit_2(capsys):
     code = run_cli(["optimize", "--target", "tau0-analytic",
                     "--bracket", "5", "0", "--tol", "1e-6"])
     assert code == 2
     code = run_cli(["optimize", "--target", "tau0-analytic",
                     "--bracket", "0", "5", "--tol", "0"])
+    assert code == 2
+    code = run_cli(["optimize", "--target", "uniform-period-b1",
+                    "--bracket", "0.1", "inf", "--paths", "2",
+                    "--horizon", "100"])
     assert code == 2
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 import warnings
 import weakref
 
@@ -37,6 +38,7 @@ from aoisim.runner import (
     unit_beta_objective,
     unit_uniform_period_objective,
 )
+from aoisim.search import golden_section
 
 
 def test_single_path_ensemble_degenerates_to_run_path():
@@ -150,6 +152,55 @@ def test_optimize_scalar_flat_bracket_warns_and_returns_endpoint():
 def test_optimize_scalar_bad_bracket():
     with pytest.raises(ConfigError):
         optimize_scalar(lambda x: x, (1.0, 1.0), tol=1e-3)
+
+
+@pytest.mark.parametrize("search", [golden_section, optimize_scalar])
+@pytest.mark.parametrize("bracket,tol", [
+    ((1.0, 1.0), 1e-3), ((2.0, 1.0), 1e-3), ((math.nan, 1.0), 1e-3),
+    ((0.0, math.nan), 1e-3), ((0.0, math.inf), 1e-3),
+    ((-math.inf, 0.0), 1e-3), ((0.0, 1.0), 0.0), ((0.0, 1.0), -1.0),
+    ((0.0, 1.0), math.nan),
+])
+def test_bad_bracket_or_tol_calls_no_objective(search, bracket, tol):
+    calls = []
+    with pytest.raises(ConfigError):
+        if search is golden_section:
+            search(calls.append, *bracket, tol)
+        else:
+            search(calls.append, bracket, tol)
+    assert calls == []
+
+
+def test_golden_section_ties_go_to_the_earlier_probe():
+    # The ends are probed first, lo before hi, so a tie goes to an end.
+    opt = golden_section(lambda x: 1.0, 0.0, 1.0, 0.1)
+    assert (opt.arg, opt.value, opt.flat) == (0.0, 1.0, True)
+    opt = golden_section(lambda x: max(1.0 - x, 0.25), 0.0, 1.0, 0.1)
+    assert (opt.arg, opt.value, opt.flat) == (1.0, 0.25, True)
+    assert sum(v == 0.25 for _, v in opt.evaluations) > 1
+    opt = golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 0.1)
+    assert not opt.flat and 0.0 < opt.arg < 1.0
+    xs = [x for x, _ in opt.evaluations]
+    assert xs == sorted(xs) and xs[0] == 0.0 and xs[-1] == 1.0
+
+
+def test_golden_section_stops_where_floats_cannot_split_the_bracket():
+    # Below the float spacing of the bracket, the probes meet its ends
+    # before its width reaches tol: the search must stop there. The alarm
+    # turns an endless loop into a failure.
+    def endless(signum, frame):
+        raise TimeoutError("golden_section did not stop")
+
+    previous = signal.signal(signal.SIGALRM, endless)
+    signal.alarm(10)
+    try:
+        opt = golden_section(lambda x: (x - 1.3) ** 2, 0.0, 3.0, 1e-300)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    lo, hi = opt.bracket
+    assert lo <= opt.arg <= hi and hi - lo < 1e-14
+    assert opt.arg == pytest.approx(1.3, abs=1e-7) and not opt.flat
 
 
 def test_simulated_objectives_use_common_random_numbers():
@@ -406,7 +457,7 @@ def test_objectives_on_one_stream_share_their_paths(monkeypatch):
 @pytest.mark.parametrize("make,bracket", SEARCHES)
 def test_drawn_paths_are_unchanged_by_a_search(make, bracket):
     # The kernels only read the kept arrivals: after a whole search they
-    # hold the bytes a fresh draw gives, and pin no other bytes.
+    # hold the bytes a fresh draw gives, each in a buffer of its own.
     objective = make(SEARCH_HORIZON, SEARCH_PATHS, SEARCH_SEED)
     _search(objective, bracket)
     drawn = runner._store(SEARCH_SEED, SEARCH_HORIZON)
@@ -414,7 +465,7 @@ def test_drawn_paths_are_unchanged_by_a_search(make, bracket):
     for i, arrivals in enumerate(drawn):
         fresh = sample_path(derive_seed(SEARCH_SEED, i), SEARCH_HORIZON)
         assert arrivals.tobytes() == fresh.tobytes()
-        assert runner._pinned(arrivals) == fresh.nbytes
+        assert arrivals.base is None and arrivals.nbytes == fresh.nbytes
 
 
 @pytest.mark.parametrize("make,arg", [(unit_uniform_period_objective, 0.5),

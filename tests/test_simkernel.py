@@ -453,8 +453,7 @@ def test_entry_matches_reference(case):
                                np.argsort(ts, kind="stable").astype(np.int64),
                                rows)
         epochs, wasted, infeasible, level, n_seen, landed, *sums = (
-            simkernel._entry(lib, plan, arrivals,
-                             min(plan.room, arrivals.size + 1), 1))
+            simkernel._entry(lib, plan, arrivals, arrivals.size + 1, 1))
         assert (epochs.tobytes(), wasted, infeasible, level, landed,
                 *sums) == want, lib
         assert rows[1].tobytes() == series, lib
@@ -515,6 +514,32 @@ def test_capacity_past_int64_is_a_usage_error(capacity, tmp_path, capsys):
                 summary, log = run_path(cfg)
                 runs.add((log.epochs.tobytes(), summary.wasted_units,
                           summary.final_level))
+        assert len(runs) == 1
+
+
+@pytest.mark.parametrize("capacity", [2.5, 2.0, np.float64(3.0)])
+def test_non_integer_capacity_is_a_usage_error(capacity):
+    # The plan would truncate it, while the adaptive policy's beta came
+    # from the float: it is refused on every backend before any loop runs.
+    for backend in BACKENDS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simkernel, "BACKEND", backend)
+            mp.setattr(simkernel, "_entry", None)
+            for policy in (BestEffortUniform(1.0), EnergyAwareAdaptive(1.0)):
+                with pytest.raises(ConfigError, match="positive integer"):
+                    run_path(SimConfig(policy, capacity, 100.0, seed=1))
+                with pytest.raises(ConfigError, match="positive integer"):
+                    simulate_path(np.array([0.5]), policy, capacity, 100.0)
+    # Python and numpy integers run alike on every backend.
+    for policy in (BestEffortUniform(1.0), EnergyAwareAdaptive(1.0)):
+        runs = set()
+        for backend in BACKENDS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simkernel, "BACKEND", backend)
+                for cap in (3, np.int64(3), np.int32(3), np.uint8(3)):
+                    summary, log = run_path(SimConfig(policy, cap, 100.0, 1))
+                    runs.add((log.epochs.tobytes(), summary.wasted_units,
+                              summary.final_level))
         assert len(runs) == 1
 
 
